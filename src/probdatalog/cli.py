@@ -91,6 +91,8 @@ def _compute_probability(dnf: Dnf, weights, solver: str) -> float:
         return _prob_fn(solver)(dnf, weights)
     except (WmcBudgetError, TooManyVariablesError) as e:
         raise CliError("wmc", str(e), EXIT_WMC)
+    except RecursionError as e:
+        raise CliError("wmc", f"lineage too deep for the solver: {e}", EXIT_WMC)
 
 
 def _reason(prog: Program, args) -> tuple:
@@ -132,12 +134,12 @@ def _collect_answers(result, prog: Program, queries: List[Atom]) -> List[Answer]
         for q in queries:
             for ans in collect_lineage(result, prog, q):
                 answers.setdefault(ans.fact, ans)
-    except LineageTooLargeError as e:
+    except (LineageTooLargeError, IncompleteReasoningError) as e:
         raise CliError("resource", str(e), EXIT_RESOURCE)
+    except RecursionError as e:
+        raise CliError("resource", f"derivations too deep for lineage: {e}", EXIT_RESOURCE)
     except UnknownPredicateError as e:
         raise CliError("parse", str(e), EXIT_PARSE)
-    except IncompleteReasoningError as e:
-        raise CliError("resource", str(e), EXIT_RESOURCE)
     return sorted(answers.values(), key=lambda a: a.fact.sort_key())
 
 
@@ -398,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bounds", action="store_true", help="per-round probability bounds")
         p.add_argument("--stats", action="store_true")
         p.add_argument("--output", choices=["json", "text"], default="text")
-        p.add_argument("--seed", type=int, default=0, help="reserved; reasoning is deterministic")
 
     p_run = sub.add_parser("run", help="reason with the graph-based engine")
     common(p_run)

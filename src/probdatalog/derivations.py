@@ -278,12 +278,3 @@ def unfold(entry: Child) -> Iterator[Child]:
     for combo in itertools.product(*(tuple(unfold(c)) for c in entry.children)):
         yield DerivationEntry(entry.root, Label.AND, combo, entry.home)
 
-
-def iter_tree_atoms(entry: Child) -> Iterator[Atom]:
-    """All fact occurrences at AND/OR positions of a derivation DAG,
-    one per path (a shared entry reached twice is reported twice)."""
-    if isinstance(entry, Leaf):
-        return
-    yield entry.root
-    for c in entry.children:
-        yield from iter_tree_atoms(c)

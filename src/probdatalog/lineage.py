@@ -5,6 +5,10 @@ of clauses, each clause a set of variable ids.  Clause sets are kept
 absorption-normalized (no clause contains another), which for monotone
 formulas is a canonical form: two normalized DNFs denote the same Boolean
 function exactly when they are equal.
+
+Hence an atom's lineage is built by gathering the clauses of all its stored
+entries, found through a root -> entries index made in one scan of the
+stores, and absorbing them once, not re-absorbing after every `or_`.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ def _absorb(clauses: Iterable[Clause]) -> frozenset[Clause]:
     return frozenset(kept)
 
 
+def _disjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
+    """Disjunction with one absorption.  Gathered clauses are absorbed early
+    only if they pass the cap, and only an absorbed set above it raises."""
+    gathered: List[Clause] = []
+    for d in dnfs:
+        gathered.extend(d.clauses)
+        if max_clauses is not None and len(gathered) > max_clauses:
+            gathered = list(_absorb(gathered))
+            if len(gathered) > max_clauses:
+                raise LineageTooLargeError(
+                    f"lineage too large ({len(gathered)} > {max_clauses} disjuncts)"
+                )
+    return Dnf(_absorb(gathered))
+
+
 @dataclass(frozen=True)
 class Dnf:
     """Absorption-normalized monotone DNF.
@@ -99,12 +118,7 @@ class Dnf:
             return self
         if other.is_true or self.is_false:
             return other
-        out = Dnf(_absorb(self.clauses | other.clauses))
-        if max_clauses is not None and len(out.clauses) > max_clauses:
-            raise LineageTooLargeError(
-                f"lineage too large ({len(out.clauses)} > {max_clauses} disjuncts)"
-            )
-        return out
+        return _disjoin((self, other), max_clauses)
 
     def and_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
         if self.is_false or other.is_true:
@@ -186,9 +200,7 @@ def phi(
             for child in node.children:
                 out = out.and_(rec(child), max_clauses)
         else:
-            out = FALSE
-            for child in node.children:
-                out = out.or_(rec(child), max_clauses)
+            out = _disjoin((rec(child) for child in node.children), max_clauses)
         memo[id(node)] = out
         return out
 
@@ -200,6 +212,18 @@ class Answer:
     fact: Atom
     lineage: Dnf
     probability: Optional[float] = None
+
+
+def _entries_by_root(
+    result: "ReasoningResult", k: int
+) -> Dict[Atom, List[DerivationEntry]]:
+    """Stored entries of every atom derived in nodes no deeper than k."""
+    index: Dict[Atom, List[DerivationEntry]] = {}
+    for node_id, store in result.stores.items():
+        if result.graph.node(node_id).depth <= k:
+            for root, entries in store.by_root.items():
+                index.setdefault(root, []).extend(entries)
+    return index
 
 
 def round_bound_snapshot(
@@ -216,16 +240,10 @@ def round_bound_snapshot(
     """
     if memo is None:
         memo = {}
-    out: Dict[Atom, Dnf] = {}
-    for node_id, store in result.stores.items():
-        if result.graph.node(node_id).depth > k:
-            continue
-        for root, entries in store.by_root.items():
-            acc = out.get(root, FALSE)
-            for e in entries:
-                acc = acc.or_(phi(e, memo=memo))
-            out[root] = acc
-    return out
+    return {
+        root: _disjoin((phi(e, memo=memo) for e in entries), DEFAULT_CLAUSE_CAP)
+        for root, entries in _entries_by_root(result, k).items()
+    }
 
 
 def collect_lineage(
@@ -248,22 +266,14 @@ def collect_lineage(
         raise UnknownPredicateError(f"unknown predicate {query.predicate.text}")
 
     fact_var: Dict[Atom, int] = {f.fact: f.var for f in prog.facts}
-    instances = {
-        a for a in fact_var if match_atom(query, a, {}) is not None
-    }
-    for store in result.stores.values():
-        for root in store.by_root:
-            if match_atom(query, root, {}) is not None:
-                instances.add(root)
-
+    index = _entries_by_root(result, result.rounds)
     memo: Dict[int, Dnf] = {}
     answers = []
-    for inst in sorted(instances, key=Atom.sort_key):
-        dnf = FALSE
+    for inst in sorted(fact_var.keys() | index.keys(), key=Atom.sort_key):
+        if match_atom(query, inst, {}) is None:
+            continue
+        dnfs = [phi(e, max_clauses, memo) for e in index.get(inst, ())]
         if inst in fact_var:
-            dnf = Dnf.single(fact_var[inst])
-        for store in result.stores.values():
-            for e in store.by_root.get(inst, ()):
-                dnf = dnf.or_(phi(e, max_clauses, memo), max_clauses)
-        answers.append(Answer(inst, dnf))
+            dnfs.append(Dnf.single(fact_var[inst]))
+        answers.append(Answer(inst, _disjoin(dnfs, max_clauses)))
     return answers

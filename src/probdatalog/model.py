@@ -6,14 +6,15 @@ variable that is true with its annotated probability.  Rules may carry a
 probability themselves, which is desugared into an auxiliary nullary fact
 appended to the rule body.
 
-Symbols (constants, predicates, variables) are interned process-wide so
-that equality and hashing reduce to integer comparisons.
+Symbols (constants, predicates, variables) are interned process-wide and
+compare by identity, and an atom hashes once, when built, so equality and
+hashing reduce to pointer and integer comparisons (Filliâtre & Conchon).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -25,8 +26,10 @@ class SymbolKind(Enum):
     VARIABLE = "variable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
+    """Interned symbol; build through `intern_symbol` only."""
+
     kind: SymbolKind
     id: int
     text: str
@@ -64,12 +67,27 @@ def predicate(text: str) -> Symbol:
     return intern_symbol(SymbolKind.PREDICATE, text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Atom:
     """A predicate applied to constant/variable arguments; nullary allowed."""
 
     predicate: Symbol
     args: tuple[Symbol, ...] = ()
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Atom)
+            and self._hash == other._hash
+            and self.predicate is other.predicate
+            and self.args == other.args
+        )
 
     @property
     def arity(self) -> int:

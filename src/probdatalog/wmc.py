@@ -4,17 +4,21 @@
 certain variables, splits variable-disjoint components, and otherwise
 Shannon-expands on the most frequent variable, memoizing residual clause
 sets.  `brute_force_probability` enumerates possible worlds literally and
-serves as the independent oracle.
+serves as the independent oracle.  Only the possible-world enumerators
+import numpy, which costs about 14 MB and a tenth of a second, so a process
+that uses the exact solver alone never loads it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, OrderedDict
-from typing import Dict, FrozenSet, List, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping
 
 from .lineage import Dnf, _absorb
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 Clause = FrozenSet[int]
 
@@ -103,10 +107,12 @@ def probability(
 
         comps = _components(clauses)
         if len(comps) > 1:
-            miss = 1.0
-            for comp in comps:
-                miss *= 1.0 - pr(comp)
-            out = 1.0 - miss
+            # 1 - prod(1 - p) in log space keeps relative accuracy for small p
+            ps = [pr(comp) for comp in comps]
+            if max(ps) >= 1.0:
+                out = 1.0
+            else:
+                out = -math.expm1(sum(math.log1p(-p) for p in ps))
         else:
             counts = Counter(v for c in clauses for v in c)
             x = max(counts, key=lambda v: (counts[v], -v))
@@ -136,6 +142,8 @@ def brute_force_probability(
     formula marginalize out.  Enumeration is vectorized over world bitmasks
     and chunked to bound memory.
     """
+    import numpy as np
+
     _check_weights(d, weights)
     variables = sorted(d.variables)
     n = len(variables)
@@ -166,6 +174,8 @@ def brute_force_probability(
 
 def evaluate_all(d: Dnf, variables: List[int]) -> np.ndarray:
     """Truth table of `d` over an explicit variable order (bit i = variables[i])."""
+    import numpy as np
+
     n = len(variables)
     if n > 26:
         raise TooManyVariablesError(f"{n} variables is too many for a truth table")
@@ -188,4 +198,4 @@ def truth_table_equal(a: Dnf, b: Dnf, max_vars: int = 20) -> bool:
         raise TooManyVariablesError(
             f"{len(variables)} variables exceed the {max_vars} truth-table limit"
         )
-    return bool(np.array_equal(evaluate_all(a, variables), evaluate_all(b, variables)))
+    return bool((evaluate_all(a, variables) == evaluate_all(b, variables)).all())

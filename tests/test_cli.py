@@ -4,7 +4,7 @@ import math
 import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example
-from probdatalog import cli, parse_program
+from probdatalog import Dnf, cli, collect_lineage, parse_program
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +200,34 @@ class TestErrors:
         )
         assert code == 3
         assert json.loads(out)["error"]["type"] == "wmc"
+
+    def test_oversized_lineage_exits_2(self, capsys, monkeypatch, collapse_file):
+        def capped(result, prog, query):
+            return collect_lineage(result, prog, query, max_clauses=999)
+
+        monkeypatch.setattr(cli, "collect_lineage", capped)
+        code, out = run_cli(
+            capsys, "run", "--program", collapse_file, "--query", "t(a)",
+            "--collapse", "off",
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "resource"
+
+    def test_deep_lineage_collection_exits_2(self, capsys, monkeypatch, running_file):
+        def too_deep(result, prog, query):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "collect_lineage", too_deep)
+        code, out = run_cli(capsys, "run", "--program", running_file)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "resource"
+
+    def test_solver_recursion_depth_is_a_wmc_error(self):
+        path = Dnf.from_clauses([[i, i + 1] for i in range(2000)])
+        weights = {v: 0.5 for v in path.variables}
+        with pytest.raises(cli.CliError) as err:
+            cli._compute_probability(path, weights, "exact")
+        assert (err.value.kind, err.value.code) == ("wmc", 3)
 
     def test_unknown_query_predicate_exits_1(self, capsys, running_file):
         code, out = run_cli(

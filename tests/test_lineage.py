@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import collapse_example
+from corpus import corpus
 from oracles import atom_key, explanation_map
 from probdatalog import (
     FALSE,
@@ -16,10 +18,12 @@ from probdatalog import (
     parse_atom,
     parse_program,
     phi,
+    round_bound_snapshot,
+    run_pcor,
     run_pr,
 )
 from probdatalog.derivations import DerivationEntry, Label, Leaf
-from probdatalog.model import atom
+from probdatalog.model import Atom, atom, match_atom, variable
 from probdatalog.wmc import evaluate_all, truth_table_equal
 
 clauses_strategy = st.lists(
@@ -223,3 +227,78 @@ class TestExplanationOracle:
                 assert truth_table_equal(ans.lineage, expected[atom_key(ans.fact)])
                 checked += 1
         assert checked
+
+
+def fold_collect(result, prog, query):
+    """Reference: every answer's lineage as a pairwise `or_` fold, scanning
+    every store once per answer."""
+    fact_var = {f.fact: f.var for f in prog.facts}
+    instances = {a for a in fact_var if match_atom(query, a, {}) is not None}
+    for store in result.stores.values():
+        instances.update(r for r in store.by_root if match_atom(query, r, {}) is not None)
+    out = {}
+    for inst in instances:
+        dnf = Dnf.single(fact_var[inst]) if inst in fact_var else FALSE
+        for store in result.stores.values():
+            for e in store.by_root.get(inst, ()):
+                dnf = dnf.or_(phi(e))
+        out[inst] = dnf
+    return out
+
+
+def fold_snapshot(result, k):
+    out = {}
+    for node_id, store in result.stores.items():
+        if result.graph.node(node_id).depth > k:
+            continue
+        for root, entries in store.by_root.items():
+            acc = out.get(root, FALSE)
+            for e in entries:
+                acc = acc.or_(phi(e))
+            out[root] = acc
+    return out
+
+
+def open_queries(prog):
+    arity = {r.head.predicate: r.head.arity for r in prog.rules}
+    arity.update((f.fact.predicate, f.fact.arity) for f in prog.facts)
+    return [
+        Atom(p, tuple(variable(f"X{i}") for i in range(n)))
+        for p, n in sorted(arity.items(), key=lambda kv: kv[0].text)
+    ]
+
+
+AGGREGATION_PROGRAMS = corpus(25, seed=3) + [collapse_example(30)]
+
+
+class TestOnePassAggregation:
+    @pytest.mark.parametrize("text", AGGREGATION_PROGRAMS)
+    @pytest.mark.parametrize("runner", [run_pr, run_pcor])
+    def test_matches_or_fold(self, text, runner):
+        prog = normalize(parse_program(text))
+        result = runner(prog)
+        for query in open_queries(prog):
+            answers = collect_lineage(result, prog, query)
+            assert [a.fact for a in answers] == sorted(
+                (a.fact for a in answers), key=Atom.sort_key
+            )
+            assert {a.fact: a.lineage for a in answers} == fold_collect(
+                result, prog, query
+            )
+        for k in range(1, result.rounds + 2):
+            assert round_bound_snapshot(result, k) == fold_snapshot(result, k)
+
+    def test_clause_cap_applies_to_the_absorbed_set(self):
+        text = "0.5::a.\n" + "".join(f"0.5::b(c{i}).\n" for i in range(5))
+        prog = normalize(parse_program(text + "t :- a.\nt :- a, b(X).\n"))
+        # six clauses are gathered; `a` absorbs the five `a & b(i)`
+        (ans,) = collect_lineage(run_pr(prog), prog, parse_atom("t"), max_clauses=1)
+        assert ans.lineage.to_json(prog.var_names) == [["a"]]
+
+        n = 12
+        prog = normalize(parse_program(collapse_example(n)))
+        result = run_pr(prog)
+        (ans,) = collect_lineage(result, prog, parse_atom("t(a)"), max_clauses=n)
+        assert len(ans.lineage.clauses) == n
+        with pytest.raises(LineageTooLargeError):
+            collect_lineage(result, prog, parse_atom("t(a)"), max_clauses=n - 1)

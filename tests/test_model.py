@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from corpus import random_program_text
 from probdatalog import (
+    Atom,
     ParseError,
     Rule,
     RuleKind,
@@ -38,6 +39,20 @@ class TestSymbols:
         assert not a.is_ground
         assert atom("p", "a", "b").is_ground
         assert str(atom("t")) == "t"
+
+    def test_separately_built_atoms_are_interchangeable(self):
+        built, parsed = atom("p", "a", "b"), parse_atom("p(a,b)")
+        assert built is not parsed
+        assert built == parsed and hash(built) == hash(parsed)
+        table = {built: 1}
+        table[parsed] = 2
+        assert table == {atom("p", "a", "b"): 2}
+
+    def test_constant_and_variable_with_same_text_differ(self):
+        as_constant = Atom(predicate("p"), (constant("X"),))
+        as_variable = Atom(predicate("p"), (variable("X"),))
+        assert as_constant != as_variable
+        assert len({as_constant, as_variable}) == 2
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,14 @@ class TestExactSolver:
         expected = 1 - (1 - block_a) * (1 - block_b) * (1 - 0.5)
         assert probability(d, w) == pytest.approx(expected, abs=1e-12)
         assert brute_force_probability(d, w) == pytest.approx(expected, abs=1e-12)
+
+    def test_small_components_keep_relative_accuracy(self):
+        # 1 - (1 - p)(1 - q) cancels to 0.0 in floating point here
+        d = Dnf.from_clauses([range(10), range(10, 20)])
+        w = {i: 0.01 for i in range(20)}
+        clause = Fraction(0.01) ** 10
+        expected = float(1 - (1 - clause) ** 2)
+        assert abs(probability(d, w) - expected) <= 1e-9 * expected
 
 
 class TestTruthTables:
