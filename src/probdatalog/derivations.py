@@ -115,12 +115,10 @@ def instantiate_node(
 
     if rule.kind is RuleKind.BASE:
         candidates = [facts.by_pred.get(a.predicate, []) for a in rule.body]
-        for subst in join(rule.body, candidates):
+        for subst, matched in join(rule.body, candidates):
             result.substitutions += 1
             root = substitute(rule.head, subst)
-            children = tuple(
-                Leaf(facts.var_of[substitute(a, subst)]) for a in rule.body
-            )
+            children = tuple(Leaf(facts.var_of[f]) for f in matched)
             charge(1)
             out.setdefault(root, []).append(
                 DerivationEntry(root, Label.AND, children, node.id)
@@ -131,13 +129,10 @@ def instantiate_node(
     candidates = [
         sorted(ps.by_root.keys(), key=Atom.sort_key) for ps in parent_stores
     ]
-    for subst in join(rule.body, candidates):
+    for subst, matched in join(rule.body, candidates):
         result.substitutions += 1
         root = substitute(rule.head, subst)
-        entry_lists = [
-            ps.by_root[substitute(a, subst)]
-            for a, ps in zip(rule.body, parent_stores)
-        ]
+        entry_lists = [ps.by_root[f] for f, ps in zip(matched, parent_stores)]
         bucket = out.setdefault(root, [])
         for combo in itertools.product(*entry_lists):
             charge(1)

@@ -5,15 +5,23 @@ depth 1; a non-base node has exactly one parent per body atom (canonical
 form) and an edge `u ->_j v` requires the head predicate of u's rule to
 equal the j-th body predicate of v's rule.  Nodes are only ever appended,
 and removal is a tombstone so references into a node's store stay valid.
+
+`k_compatible` is the paper's definition of the parent tuples a depth-k
+node may have.  The reasoner grows the graph join-driven instead: it hands
+`inductive_step` the root facts each stored node holds, and a node is
+created only for a parent tuple whose root facts ground the rule body at
+least once.  Those tuples come from a semi-naive hash join (`model.join`)
+over the root facts, so a node that could store nothing is never created,
+rather than created, instantiated and tombstoned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from .model import Rule, RuleKind
+from .model import Atom, Rule, RuleKind, Symbol, join
 
 
 @dataclass(eq=False)
@@ -96,20 +104,89 @@ def k_compatible(
     return out
 
 
+_BELOW, _AT, _ANY = 0, 1, 2  # depth below k - 1, exactly k - 1, below k
+
+
+class _RootIndex:
+    """Root fact -> ids of the live nodes below depth k that hold it, per
+    head predicate and depth class.  A view is built on first use and
+    shared by every rule of the round."""
+
+    def __init__(
+        self, g: ExecutionGraph, roots: Mapping[int, Iterable[Atom]], k: int
+    ):
+        self._holders: Dict[Symbol, List[tuple[int, int, Iterable[Atom]]]] = {}
+        for n in g.live_nodes():
+            if n.depth < k and n.id in roots:
+                depth_class = _AT if n.depth == k - 1 else _BELOW
+                self._holders.setdefault(n.rule.head.predicate, []).append(
+                    (n.id, depth_class, roots[n.id])
+                )
+        self._views: Dict[tuple[Symbol, int], Dict[Atom, List[int]]] = {}
+
+    def view(self, pred: Symbol, depth_class: int) -> Dict[Atom, List[int]]:
+        key = (pred, depth_class)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = {}
+            for node_id, c, node_roots in self._holders.get(pred, ()):
+                if depth_class == _ANY or c == depth_class:
+                    for a in node_roots:
+                        view.setdefault(a, []).append(node_id)
+        return view
+
+
+def _joinable(rule: Rule, index: _RootIndex) -> List[tuple[int, ...]]:
+    """The k-compatible parent tuples of `rule` whose root facts ground its
+    body at least once, in lexicographic node-id order.
+
+    Semi-naive split: with position j drawn from depth k - 1, earlier
+    positions from below k - 1 and later ones from below k, every tuple
+    with a parent at depth k - 1 is found for exactly one j.
+    """
+    n = len(rule.body)
+    found = set()
+    for j in range(n):
+        split = [
+            index.view(a.predicate, _BELOW if i < j else _AT if i == j else _ANY)
+            for i, a in enumerate(rule.body)
+        ]
+        if not all(split):
+            continue
+        for _, matched in join(rule.body, [s.keys() for s in split]):
+            found.update(itertools.product(*(
+                s[a] for s, a in zip(split, matched)
+            )))
+    return sorted(found)
+
+
 def inductive_step(
-    g: ExecutionGraph, rules: Iterable[Rule], k: int
+    g: ExecutionGraph,
+    rules: Iterable[Rule],
+    k: int,
+    roots: Optional[Mapping[int, Iterable[Atom]]] = None,
 ) -> List[EgNode]:
     """Extend the graph to depth k; returns the freshly added nodes.
 
-    A fresh node is added per (non-base rule, k-compatible parent tuple);
-    existing nodes and edges are never altered, and tombstoned nodes are
+    A fresh node is added per non-base rule and parent tuple, rule by rule
+    and each rule's tuples in lexicographic order.  Without `roots` every
+    k-compatible tuple gets a node.  With `roots`, the root facts of each
+    live node's store by node id, growth is join-driven: only tuples whose
+    parents' root facts ground the rule body at least once get a node, so
+    no node is created only to be tombstoned for storing nothing.  They are
+    found by one semi-naive hash join per rule over an index of root facts
+    to the nodes holding them, built once per round.
+
+    Existing nodes and edges are never altered, and tombstoned nodes are
     never re-created since they are excluded from enumeration.
     """
+    index = None if roots is None else _RootIndex(g, roots, k)
     added = []
     for r in rules:
         if r.kind is not RuleKind.NONBASE:
             continue
-        for parents in k_compatible(g, r, k):
+        tuples = k_compatible(g, r, k) if index is None else _joinable(r, index)
+        for parents in tuples:
             node = g.add_node(r, parents)
             assert node.depth == k
             added.append(node)

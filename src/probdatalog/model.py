@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class SymbolKind(Enum):
@@ -202,7 +202,7 @@ def match_atom(
     pattern: Atom, fact: Atom, subst: Mapping[Symbol, Symbol]
 ) -> Optional[Substitution]:
     """Extend `subst` so that pattern[subst] == fact, or return None."""
-    if pattern.predicate is not fact.predicate or pattern.arity != fact.arity:
+    if pattern.predicate is not fact.predicate or len(pattern.args) != len(fact.args):
         return None
     out = dict(subst)
     for t, c in zip(pattern.args, fact.args):
@@ -218,24 +218,76 @@ def match_atom(
 
 
 def join(
-    body: Sequence[Atom], candidates: Sequence[Sequence[Atom]]
-) -> Iterator[Substitution]:
+    body: Sequence[Atom], candidates: Sequence[Collection[Atom]]
+) -> Iterator[tuple[Substitution, tuple[Atom, ...]]]:
     """Enumerate substitutions grounding `body` against per-position facts.
 
-    Substitutions come out in lexicographic order of the chosen candidate
-    facts, so iteration is deterministic when the candidate lists are sorted.
+    Each substitution comes with the candidate fact it chose per position,
+    which equals that body atom under the substitution.  Substitutions come
+    out in lexicographic order of the chosen candidate facts, so iteration
+    is deterministic when the candidate lists are sorted.
+
+    The join is a hash join.  A position's candidates are hashed, when it is
+    first probed, on the argument positions its pattern binds already: by a
+    constant, or by a variable of an earlier body atom.  A probe is then one
+    dict lookup, whose bucket keeps the candidates' order, followed by
+    `match_atom`, which still checks repeated variables.  A position with
+    nothing bound iterates its candidates as they are.
     """
+    bound_at: list[tuple[int, ...]] = []
+    seen: set[Symbol] = set()
+    for a in body:
+        bound_at.append(tuple(
+            p for p, t in enumerate(a.args)
+            if t.kind is not SymbolKind.VARIABLE or t in seen
+        ))
+        seen.update(t for t in a.args if t.kind is SymbolKind.VARIABLE)
+    indexes: list[Optional[dict]] = [None] * len(body)
 
-    def rec(i: int, subst: Substitution) -> Iterator[Substitution]:
-        if i == len(body):
-            yield subst
-            return
-        for fact in candidates[i]:
-            ext = match_atom(body[i], fact, subst)
-            if ext is not None:
-                yield from rec(i + 1, ext)
+    def probe(i: int, subst: Substitution) -> Collection[Atom]:
+        positions = bound_at[i]
+        if not positions:
+            return candidates[i]
+        pattern = body[i]
+        index = indexes[i]
+        if index is None:
+            index = indexes[i] = {}
+            for fact in candidates[i]:
+                if (
+                    fact.predicate is pattern.predicate
+                    and len(fact.args) == len(pattern.args)
+                ):
+                    key = tuple(fact.args[p] for p in positions)
+                    index.setdefault(key, []).append(fact)
+        args = pattern.args
+        return index.get(tuple(subst.get(args[p], args[p]) for p in positions), ())
 
-    yield from rec(0, {})
+    if body:
+        yield from _extend(body, probe, 0, {}, ())
+    else:
+        yield {}, ()
+
+
+def _extend(
+    body: Sequence[Atom],
+    probe: Callable[[int, Substitution], Collection[Atom]],
+    i: int,
+    subst: Substitution,
+    chosen: tuple[Atom, ...],
+) -> Iterator[tuple[Substitution, tuple[Atom, ...]]]:
+    # Module level, not a closure that calls itself: such a closure is a
+    # reference cycle, and would keep the join's hash indexes alive until
+    # the cyclic garbage collector runs.
+    pattern = body[i]
+    last = i == len(body) - 1
+    for fact in probe(i, subst):
+        ext = match_atom(pattern, fact, subst)
+        if ext is None:
+            continue
+        if last:
+            yield ext, chosen + (fact,)
+        else:
+            yield from _extend(body, probe, i + 1, ext, chosen + (fact,))
 
 
 def check_safety(head: Atom, body: Sequence[Atom]) -> Optional[Symbol]:

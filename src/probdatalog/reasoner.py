@@ -1,6 +1,7 @@
 """Round-based reasoning loops that populate an execution graph.
 
-Each round extends the graph by one depth level, computes the candidate
+Each round extends the graph by one depth level, with a node only for
+parents whose stored root facts join the rule body, computes the candidate
 derivations of every fresh node, optionally collapses same-root sets, keeps
 the non-redundant ones, and removes nodes that stored nothing.  The loop
 stops when the graph depth stops growing, i.e. when every fresh node of the
@@ -39,6 +40,9 @@ class ReasonerOptions:
     collapse: CollapseMode = CollapseMode.OFF
     threshold: int = 10
     max_depth: Optional[int] = None
+    # Caps graph nodes as well as entries: growth is join-driven, so every
+    # non-base node of a completed round had a substitution, and each
+    # substitution allocated an entry.
     max_entries: Optional[int] = None
     # Disabling the redundancy filter turns the loop into the unfiltered
     # variant used to cross-check per-round lineage against the fixpoint
@@ -127,7 +131,8 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
             g = base_step(rules)
             new_nodes = list(g.nodes)
         else:
-            new_nodes = inductive_step(g, rules, k)
+            roots = {v: store.by_root for v, store in stores.items()}
+            new_nodes = inductive_step(g, rules, k, roots)
         rs = RoundStats(round=k, nodes_added=len(new_nodes))
 
         try:

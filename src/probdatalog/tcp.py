@@ -65,11 +65,11 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
 
     def derive(body, candidate_lists, rule_head):
         nonlocal count
-        for subst in join(body, candidate_lists):
+        for subst, matched in join(body, candidate_lists):
             count += 1
             formula = TRUE
-            for a in body:
-                formula = formula & inst.formulas[substitute(a, subst)]
+            for a in matched:
+                formula = formula & inst.formulas[a]
             head = substitute(rule_head, subst)
             delta[head] = delta.get(head, FALSE) | formula
 

@@ -1,13 +1,24 @@
 import pytest
 
+from corpus import corpus
 from probdatalog import (
+    CollapseMode,
+    ReasonerOptions,
     base_step,
+    chain_program,
     inductive_step,
+    instantiate_node,
     k_compatible,
     normalize,
     parse_program,
+    powerlaw_program,
+    reasoner,
+    run_pcor,
+    run_pr,
 )
-from probdatalog.model import RuleKind
+from probdatalog.derivations import FactIndex, NodeStore
+from probdatalog.graph import EgNode
+from probdatalog.model import Atom, RuleKind
 
 
 def build_running_graph(prog, depth):
@@ -137,3 +148,82 @@ class TestRemoveNode:
         g = base_step(running_prog.rules)
         with pytest.raises(KeyError):
             g.remove_node(99)
+
+
+GROWTH_PROGRAMS = (
+    [(f"corpus{i}", text) for i, text in enumerate(corpus(40))]
+    + [
+        (f"powerlaw{n}_{seed}", powerlaw_program(n, seed))
+        for n in range(10, 15)
+        for seed in range(3)
+    ]
+    + [("chain7", chain_program(7, 0))]
+)
+
+
+def reason(prog, mode):
+    if mode is CollapseMode.OFF:
+        return run_pr(prog)
+    return run_pcor(prog, ReasonerOptions(collapse=mode))
+
+
+def live_signature(result):
+    return sorted(
+        (
+            n.rule.id,
+            n.depth,
+            len(result.stores[n.id]),
+            sorted(map(Atom.sort_key, result.stores[n.id].by_root)),
+        )
+        for n in result.graph.live_nodes()
+    )
+
+
+class TestJoinDrivenGrowth:
+    def test_running_example_keeps_its_node_ids(self, running_prog):
+        result = run_pr(running_prog)
+        assert [(n.id, n.parents) for n in result.graph.nodes] == [
+            (0, ()), (1, (0, 0)), (2, (0, 1)), (3, (1, 0)), (4, (1, 1)),
+        ]
+
+    @pytest.mark.parametrize("mode", list(CollapseMode))
+    @pytest.mark.parametrize("name,text", GROWTH_PROGRAMS, ids=[n for n, _ in GROWTH_PROGRAMS])
+    def test_matches_k_compatible_tuples_that_instantiate(
+        self, monkeypatch, name, text, mode
+    ):
+        prog = normalize(parse_program(text))
+        facts = FactIndex(prog.facts)
+
+        def checked_step(g, rules, k, roots):
+            rules = list(rules)
+            stores = {i: NodeStore(i, by_root=r) for i, r in roots.items()}
+            expected = [
+                (r.id, parents)
+                for r in rules
+                if r.kind is RuleKind.NONBASE
+                for parents in k_compatible(g, r, k)
+                if instantiate_node(
+                    EgNode(-1, r, k, parents), facts, stores
+                ).substitutions
+            ]
+            added = inductive_step(g, rules, k, roots)
+            assert [(n.rule.id, n.parents) for n in added] == expected, k
+            return added
+
+        def unpruned_step(g, rules, k, roots):
+            return inductive_step(g, rules, k)
+
+        monkeypatch.setattr(reasoner, "inductive_step", checked_step)
+        pruned = reason(prog, mode)
+        monkeypatch.setattr(reasoner, "inductive_step", unpruned_step)
+        unpruned = reason(prog, mode)
+        assert pruned.stats.rounds_executed == unpruned.stats.rounds_executed
+        assert pruned.rounds == unpruned.rounds
+        assert pruned.stop_reason == unpruned.stop_reason
+        assert live_signature(pruned) == live_signature(unpruned)
+        assert len(pruned.graph.nodes) <= len(unpruned.graph.nodes)
+
+    def test_chain_creates_only_live_nodes(self):
+        result = run_pr(normalize(parse_program(chain_program(7, 0))))
+        assert len(result.graph.nodes) == 65
+        assert all(not n.removed for n in result.graph.nodes)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,14 @@ from probdatalog import (
     serialize,
     tcp_fixpoint,
 )
-from probdatalog.model import SymbolKind, constant, predicate, variable
+from probdatalog.model import (
+    SymbolKind,
+    constant,
+    join,
+    predicate,
+    substitute,
+    variable,
+)
 from probdatalog.wmc import truth_table_equal
 
 
@@ -229,3 +238,135 @@ class TestNormalize:
 def test_program_weights_and_names(running_prog):
     assert set(running_prog.weights.values()) == {0.5}
     assert running_prog.var_names[0] == "e(a,b)"
+
+
+def nested_loop_join(body, candidates):
+    """Reference join: every candidate of every position, matched by hand."""
+
+    def match(pattern, fact, subst):
+        if pattern.predicate is not fact.predicate:
+            return None
+        if len(pattern.args) != len(fact.args):
+            return None
+        out = dict(subst)
+        for t, c in zip(pattern.args, fact.args):
+            if t.kind is SymbolKind.VARIABLE:
+                if out.setdefault(t, c) is not c:
+                    return None
+            elif t is not c:
+                return None
+        return out
+
+    def rec(i, subst, chosen):
+        if i == len(body):
+            yield subst, chosen
+            return
+        for fact in candidates[i]:
+            ext = match(body[i], fact, subst)
+            if ext is not None:
+                yield from rec(i + 1, ext, chosen + (fact,))
+
+    return list(rec(0, {}, ()))
+
+
+def random_facts(rng, pattern, consts, count):
+    return [
+        Atom(pattern.predicate, tuple(constant(rng.choice(consts)) for _ in pattern.args))
+        for _ in range(count)
+    ]
+
+
+def assert_same_join(body, candidates):
+    """Same substitutions and chosen facts, in the same order, as the
+    reference; returns the substitutions."""
+    expected = nested_loop_join(body, candidates)
+    actual = list(join(body, candidates))
+    assert actual == expected, (body, candidates)
+    for (subst, chosen), (_, ref_chosen) in zip(actual, expected):
+        # the very candidate objects, each the body atom under subst
+        assert all(a is b for a, b in zip(chosen, ref_chosen))
+        assert chosen == tuple(substitute(a, subst) for a in body)
+    # dict equality ignores order; the binding order must match too
+    assert [list(s.items()) for s, _ in actual] == [
+        list(s.items()) for s, _ in expected
+    ]
+    return [s for s, _ in actual]
+
+
+class TestJoin:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_corpus_rule_bodies_match_the_nested_loop(self, seed):
+        prog = normalize(parse_program(random_program_text(seed)))
+        rng = random.Random(seed)
+        consts = ["a", "b", "c", "d"]
+        for rule in prog.rules:
+            for _ in range(5):
+                candidates = []
+                for pattern in rule.body:
+                    facts = random_facts(rng, pattern, consts, rng.randint(0, 12))
+                    facts += [parse_atom("zz(a)"), Atom(pattern.predicate, ())]
+                    rng.shuffle(facts)
+                    candidates.append(facts)
+                assert_same_join(rule.body, candidates)
+
+    def test_constants_inside_patterns(self):
+        rng = random.Random(1)
+        consts = ["a", "b", "c"]
+        body = (atom("e", "a", "X"), atom("e", "X", "Y"), atom("f", "Y", "b"))
+        for _ in range(30):
+            candidates = [random_facts(rng, a, consts, 8) for a in body]
+            assert_same_join(body, candidates)
+        found = assert_same_join(
+            body,
+            [[parse_atom("e(a,b)"), parse_atom("e(c,b)")],
+             [parse_atom("e(b,c)"), parse_atom("e(b,a)")],
+             [parse_atom("f(c,b)"), parse_atom("f(a,c)")]],
+        )
+        assert found == [{variable("X"): constant("b"), variable("Y"): constant("c")}]
+
+    def test_repeated_variable(self):
+        rng = random.Random(2)
+        consts = ["a", "b"]
+        bodies = [
+            (atom("p", "X", "X"),),
+            (atom("p", "X", "Y"), atom("p", "Y", "Y")),
+            (atom("p", "X", "X", "Y"), atom("q", "Y", "X")),
+        ]
+        for body in bodies:
+            for _ in range(30):
+                candidates = [random_facts(rng, a, consts, 6) for a in body]
+                assert_same_join(body, candidates)
+        found = assert_same_join(
+            (atom("p", "X", "X"),),
+            [[parse_atom("p(a,b)"), parse_atom("p(b,b)"), parse_atom("p(a,a)")]],
+        )
+        assert [s[variable("X")].text for s in found] == ["b", "a"]
+
+    def test_nullary_atoms(self):
+        aux, t = Atom(predicate("aux")), Atom(predicate("t"))
+        body = (atom("p", "X"), aux, atom("q", "X"))
+        candidates = [
+            [parse_atom("p(a)"), parse_atom("p(b)")],
+            [aux, t, Atom(predicate("aux"), (constant("a"),))],
+            [parse_atom("q(b)"), parse_atom("q(a)")],
+        ]
+        found = assert_same_join(body, candidates)
+        assert [s[variable("X")].text for s in found] == ["a", "b"]
+        assert assert_same_join((aux,), [[t, aux, aux]]) == [{}, {}]
+        assert assert_same_join((aux, t), [[aux], []]) == []
+
+    def test_candidates_of_another_predicate_or_arity(self):
+        body = (atom("e", "X", "Y"), atom("e", "Y", "Z"))
+        mixed = [
+            parse_atom("e(a,b)"),
+            parse_atom("f(b,c)"),
+            Atom(predicate("e"), (constant("b"),)),
+            Atom(predicate("e"), (constant("b"), constant("c"), constant("d"))),
+            parse_atom("e(b,c)"),
+            Atom(predicate("e")),
+        ]
+        found = assert_same_join(body, [mixed, mixed])
+        assert found == [
+            {variable("X"): constant("a"), variable("Y"): constant("b"),
+             variable("Z"): constant("c")}
+        ]

@@ -6,6 +6,7 @@ from probdatalog import (
     CollapseMode,
     IncompleteReasoningError,
     ReasonerOptions,
+    chain_program,
     collect_lineage,
     normalize,
     parse_atom,
@@ -16,6 +17,7 @@ from probdatalog import (
     run_pr,
 )
 from probdatalog.lineage import Dnf
+from probdatalog.model import RuleKind
 
 
 def lineage_json(result, prog, query):
@@ -134,6 +136,21 @@ class TestResourceGuards:
         result = run_pr(running_prog, ReasonerOptions(max_entries=2))
         assert result.truncated
         assert result.stats.per_round
+
+    @pytest.mark.parametrize(
+        "text",
+        [chain_program(8, 0)] + [random_program_text(seed) for seed in range(40)],
+        ids=["chain8"] + [f"corpus{seed}" for seed in range(40)],
+    )
+    def test_entry_budget_bounds_the_node_count(self, text):
+        # Every non-base node has a substitution, and each substitution
+        # allocates an entry, so max_entries caps the nodes created too.
+        prog = normalize(parse_program(text))
+        for result in (run_pr(prog), run_pcor(prog)):
+            nonbase = sum(
+                1 for n in result.graph.nodes if n.rule.kind is RuleKind.NONBASE
+            )
+            assert nonbase <= result.stats.total("entries_allocated")
 
     def test_snapshots_survive_truncation(self, running_prog):
         result = run_pr(running_prog, ReasonerOptions(max_depth=1))
