@@ -108,7 +108,10 @@ def _reason(prog: Program, args) -> tuple:
     engine = "pr" if opts.collapse is CollapseMode.OFF else "pcor"
     runner = run_pr if engine == "pr" else run_pcor
     t0 = time.perf_counter()
-    result = runner(prog, opts)
+    try:
+        result = runner(prog, opts)
+    except RecursionError as e:
+        raise CliError("resource", f"derivations too deep for reasoning: {e}", EXIT_RESOURCE)
     reason_ms = (time.perf_counter() - t0) * 1000.0
     return engine, result, reason_ms
 

@@ -82,6 +82,23 @@ def _disjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
     return Dnf(_absorb(gathered))
 
 
+def _conjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
+    """Conjunction with one absorption, raising where a fold of `and_` would."""
+    factors = [d for d in dnfs if frozenset() not in d.clauses]
+    if len(factors) < 2:
+        return factors[0] if factors else TRUE
+    if max_clauses != 0 and all(len(d.clauses) == 1 for d in factors):
+        return Dnf(frozenset([frozenset().union(*[c for d in factors for c in d.clauses])]))
+    out, *rest = [d.clauses for d in factors]
+    for f in rest:
+        if max_clauses is not None and len(out) * len(f) > max_clauses:
+            out = _absorb(out)
+            if (n := len(out) * len(f)) > max_clauses:
+                raise LineageTooLargeError(f"lineage too large ({n} > {max_clauses} disjuncts)")
+        out = {a | b for a in out for b in f}
+    return Dnf(frozenset(out) if isinstance(out, frozenset) or len(out) < 2 else _absorb(out))
+
+
 @dataclass(frozen=True)
 class Dnf:
     """Absorption-normalized monotone DNF.
@@ -121,16 +138,7 @@ class Dnf:
         return _disjoin((self, other), max_clauses)
 
     def and_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
-        if self.is_false or other.is_true:
-            return self
-        if other.is_false or self.is_true:
-            return other
-        n = len(self.clauses) * len(other.clauses)
-        if max_clauses is not None and n > max_clauses:
-            raise LineageTooLargeError(
-                f"lineage too large ({n} > {max_clauses} disjuncts)"
-            )
-        return Dnf(_absorb(a | b for a in self.clauses for b in other.clauses))
+        return _conjoin((self, other), max_clauses)
 
     def __or__(self, other: "Dnf") -> "Dnf":
         return self.or_(other)
@@ -196,9 +204,7 @@ def phi(
         if cached is not None:
             return cached
         if node.label is Label.AND:
-            out = TRUE
-            for child in node.children:
-                out = out.and_(rec(child), max_clauses)
+            out = _conjoin((rec(child) for child in node.children), max_clauses)
         else:
             out = _disjoin((rec(child) for child in node.children), max_clauses)
         memo[id(node)] = out

@@ -3,24 +3,27 @@
 `probability` is a knowledge-compilation style solver: it conditions away
 certain variables, splits variable-disjoint components, and otherwise
 Shannon-expands on the most frequent variable, memoizing residual clause
-sets.  `brute_force_probability` enumerates possible worlds literally and
-serves as the independent oracle.  Only the possible-world enumerators
-import numpy, which costs about 14 MB and a tenth of a second, so a process
-that uses the exact solver alone never loads it.
+sets.  A clause is an int bitmask over the variables renumbered in id
+order.  Setting x true needs only cross absorption: a shortened clause
+c - {x} may swallow a clause that never held x.  Components take linear
+time: a sweep in mask order, and a search over bit positions if its runs
+overlap.  `brute_force_probability` enumerates possible worlds literally as
+the independent oracle; only the enumerators import numpy (about 14 MB).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, OrderedDict
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping
+from functools import reduce
+from itertools import chain
+from operator import or_
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Tuple
 
-from .lineage import Dnf, _absorb
+from .lineage import Dnf
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
-
-Clause = FrozenSet[int]
 
 DEFAULT_STEP_BUDGET = 2_000_000
 DEFAULT_MEMO_CAP = 1_000_000
@@ -46,38 +49,47 @@ def _check_weights(d: Dnf, weights: Mapping[int, float]) -> None:
         raise UnweightedVariableError(f"no weight for variables {sorted(missing)}")
 
 
-def _condition_true(clauses: frozenset[Clause], var: int) -> frozenset[Clause]:
-    return _absorb(c - {var} if var in c else c for c in clauses)
+class _Bits(dict):  # clause mask -> its bit positions, ascending, filled on lookup
+    def __missing__(self, mask: int) -> Tuple[int, ...]:
+        out, rest = [], mask
+        while rest:
+            out.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        self[mask] = bits = tuple(out)
+        return bits
 
 
-def _condition_false(clauses: frozenset[Clause], var: int) -> frozenset[Clause]:
-    return frozenset(c for c in clauses if var not in c)
-
-
-def _components(clauses: frozenset[Clause]) -> List[frozenset[Clause]]:
-    """Partition clauses into variable-disjoint groups."""
-    parent: Dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for c in clauses:
-        it = iter(c)
-        first = next(it)
-        parent.setdefault(first, first)
-        r = find(first)
-        for v in it:
-            parent.setdefault(v, v)
-            rv = find(v)
-            if rv != r:
-                parent[rv] = r
-    groups: Dict[int, List[Clause]] = {}
-    for c in clauses:
-        groups.setdefault(find(next(iter(c))), []).append(c)
-    return [frozenset(g) for _, g in sorted(groups.items())]
+def _components(clauses: FrozenSet[int], bits: _Bits) -> List[List[int]]:
+    """Variable-disjoint groups of clause masks: runs of clauses in ascending
+    order that touch their run so far, joined by a search over bits if any overlap."""
+    ordered = sorted(clauses)
+    starts, reach, cur = [0], [], ordered[0]
+    for i, m in enumerate(ordered):
+        if not m & cur:
+            starts.append(i)
+            reach.append(cur)
+            cur = 0
+        cur |= m
+    reach.append(cur)
+    if (rest := reduce(or_, reach)) == sum(reach):  # the runs share no bit
+        return [ordered[a:b] for a, b in zip(starts, starts[1:] + [None])]
+    adj: Dict[int, int] = {}
+    for m in ordered:
+        for p in bits[m]:
+            adj[p] = adj.get(p, 0) | m
+    comp: Dict[int, int] = {}
+    while rest:
+        frontier = seen = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            comp[low] = rest
+            new = adj[low.bit_length() - 1] & ~seen
+            seen, frontier = seen | new, frontier ^ low | new
+        rest &= ~seen
+    groups: Dict[int, List[int]] = {}
+    for m in ordered:
+        groups.setdefault(comp[m & -m], []).append(m)
+    return list(groups.values())
 
 
 def probability(
@@ -88,14 +100,17 @@ def probability(
 ) -> float:
     """Exact Pr[d] when each variable is independently true with its weight."""
     _check_weights(d, weights)
-    memo: OrderedDict[frozenset[Clause], float] = OrderedDict()
+    bit = {v: 1 << i for i, v in enumerate(sorted(d.variables))}
+    w = {bit[v]: weights[v] for v in d.variables}
+    bits = _Bits()
+    memo: OrderedDict[FrozenSet[int], float] = OrderedDict()
     steps = 0
 
-    def pr(clauses: frozenset[Clause]) -> float:
+    def pr(clauses: FrozenSet[int]) -> float:
         nonlocal steps
         if not clauses:
             return 0.0
-        if frozenset() in clauses:
+        if 0 in clauses:
             return 1.0
         cached = memo.get(clauses)
         if cached is not None:
@@ -105,30 +120,36 @@ def probability(
         if steps > max_steps:
             raise WmcBudgetError(f"wmc budget exceeded ({max_steps} expansions)")
 
-        comps = _components(clauses)
+        comps = _components(clauses, bits) if len(clauses) > 1 else ()
         if len(comps) > 1:
             # 1 - prod(1 - p) in log space keeps relative accuracy for small p
-            ps = [pr(comp) for comp in comps]
-            if max(ps) >= 1.0:
-                out = 1.0
-            else:
-                out = -math.expm1(sum(math.log1p(-p) for p in ps))
+            ps = [pr(frozenset(comp)) for comp in comps]
+            out = 1.0 if max(ps) >= 1.0 else -math.expm1(sum(math.log1p(-p) for p in ps))
         else:
-            counts = Counter(v for c in clauses for v in c)
-            x = max(counts, key=lambda v: (counts[v], -v))
-            w = weights[x]
-            if w >= 1.0:
-                out = pr(_condition_true(clauses, x))
+            if len(clauses) == 1:  # every count is 1, so branch on the lowest bit
+                b = (m := min(clauses)) & -m
+                true, without = frozenset([m ^ b]), []
             else:
-                out = w * pr(_condition_true(clauses, x)) + (1.0 - w) * pr(
-                    _condition_false(clauses, x)
-                )
+                counts = Counter(chain.from_iterable(map(bits.__getitem__, clauses)))
+                top = max(counts.values())
+                b = 1 << min(p for p, n in counts.items() if n == top)
+                without = [m for m in clauses if not m & b]
+                shortened = [m ^ b for m in clauses if m & b]
+                # only a shortened clause can swallow, and only an unshortened one
+                kept, union = without, reduce(or_, without, 0)
+                for r in (r for r in shortened if not r & ~union):
+                    kept = [u for u in kept if u & r != r]
+                true = frozenset(shortened).union(kept)
+            if w[b] >= 1.0:
+                out = pr(true)
+            else:
+                out = w[b] * pr(true) + (1.0 - w[b]) * pr(frozenset(without))
         if len(memo) >= memo_cap:
             memo.popitem(last=False)
         memo[clauses] = out
         return out
 
-    return min(max(pr(d.clauses), 0.0), 1.0)
+    return min(max(pr(frozenset(sum(bit[v] for v in c) for c in d.clauses)), 0.0), 1.0)
 
 
 def brute_force_probability(

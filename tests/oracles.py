@@ -5,6 +5,7 @@ machinery: the least-model evaluator is a naive ground fixpoint with its
 own matcher, and explanations are enumerated over all fact subsets.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from probdatalog import Atom, Dnf, Program
@@ -112,3 +113,25 @@ def model_atoms(prog: Program) -> frozenset:
 
 def atom_key(atom: Atom) -> tuple:
     return _as_key(atom)
+
+
+def exact_probability(clauses, weights) -> Fraction:
+    """Pr[DNF] as an exact rational: the summed weight of every possible
+    world over the formula's variables that satisfies some clause.
+
+    Each float weight converts to `Fraction` without rounding, so the result
+    is the exact value the floating-point solvers approximate.
+    """
+    clauses = [frozenset(c) for c in clauses]
+    variables = sorted(set().union(*clauses))
+
+    def worlds(i: int, world: frozenset, weight: Fraction) -> Fraction:
+        if i == len(variables):
+            return weight if any(c <= world for c in clauses) else Fraction(0)
+        v = variables[i]
+        p = Fraction(weights[v])
+        return worlds(i + 1, world | {v}, weight * p) + worlds(
+            i + 1, world, weight * (1 - p)
+        )
+
+    return worlds(0, frozenset(), Fraction(1))

@@ -222,6 +222,21 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "resource"
 
+    @pytest.mark.parametrize("collapse", ["off", "on", "auto"])
+    def test_deep_reasoning_exits_2(self, capsys, monkeypatch, running_file, collapse):
+        def too_deep(prog, opts):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "run_pr", too_deep)
+        monkeypatch.setattr(cli, "run_pcor", too_deep)
+        code = cli.main(["run", "--program", running_file, "--collapse", collapse])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "resource"
+        assert "too deep" in error["message"]
+        assert "Traceback" not in captured.out + captured.err
+
     def test_solver_recursion_depth_is_a_wmc_error(self):
         path = Dnf.from_clauses([[i, i + 1] for i in range(2000)])
         weights = {v: 0.5 for v in path.variables}

@@ -91,7 +91,34 @@ class TestDnf:
         assert np.array_equal(evaluate_all(a & b, variables), ta & tb)
 
 
+    @given(clauses_strategy, clauses_strategy)
+    @settings(max_examples=150, deadline=None)
+    def test_and_is_the_absorbed_product(self, ca, cb):
+        a, b = Dnf.from_clauses(ca), Dnf.from_clauses(cb)
+        product = Dnf.from_clauses(x | y for x in a.clauses for y in b.clauses)
+        assert a & b == product
+        assert a.and_(b, max_clauses=len(a.clauses) * len(b.clauses)) == product
+
+
 class TestPhi:
+    def test_and_entry_absorbs_like_a_fold(self):
+        root = atom("p")
+
+        def either(*vs):
+            return collapse([DerivationEntry(root, Label.AND, (Leaf(v),), 0) for v in vs])
+
+        children = (either(0, 1), either(0, 1), Leaf(4), either(2, 3))
+        top = DerivationEntry(root, Label.AND, children, 0)
+        fold = TRUE
+        for child in children:
+            fold = fold & phi(child)
+        assert phi(top) == fold
+        assert fold.sorted_clauses() == [(0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)]
+        # the fold's largest step is 2 x 2 once (0|1) & (0|1) is absorbed
+        assert phi(top, max_clauses=4) == fold
+        with pytest.raises(LineageTooLargeError):
+            phi(top, max_clauses=3)
+
     def test_leaf_conjunction(self):
         e = DerivationEntry(atom("p", "a", "b"), Label.AND, (Leaf(2), Leaf(3)), 0)
         assert phi(e).sorted_clauses() == [(2, 3)]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import corpus
+from oracles import exact_probability
 from probdatalog import (
     FALSE,
     TRUE,
@@ -13,7 +15,12 @@ from probdatalog import (
     UnweightedVariableError,
     WmcBudgetError,
     brute_force_probability,
+    collect_lineage,
+    normalize,
+    parse_atom,
+    parse_program,
     probability,
+    run_pr,
     truth_table_equal,
 )
 
@@ -151,6 +158,93 @@ class TestExactSolver:
         clause = Fraction(0.01) ** 10
         expected = float(1 - (1 - clause) ** 2)
         assert abs(probability(d, w) - expected) <= 1e-9 * expected
+
+
+def reliability_text(layers: int, width: int, seed: int) -> str:
+    """Two-terminal reachability p(s,t) over a layered DAG: s feeds every
+    node of the first layer, consecutive layers are fully connected and
+    every node of the last layer feeds t."""
+    rng = random.Random(seed)
+    names = [[f"v{k}_{j}" for j in range(width)] for k in range(layers)]
+    edges = [("s", v) for v in names[0]]
+    for k in range(layers - 1):
+        edges += [(a, b) for a in names[k] for b in names[k + 1]]
+    edges += [(v, "t") for v in names[-1]]
+    lines = [f"{round(rng.uniform(0.05, 0.95), 6)}::e({a},{b})." for a, b in edges]
+    lines += ["p(X,Y) :- e(X,Y).", "p(X,Y) :- p(X,Z), e(Z,Y)."]
+    return "\n".join(lines) + "\n"
+
+
+def program_lineage(text: str, query: str):
+    prog = normalize(parse_program(text))
+    answers = collect_lineage(run_pr(prog), prog, parse_atom(query))
+    return answers[0].lineage, prog.weights
+
+
+def random_dnf_40():
+    rng = random.Random(0)
+    clauses = [frozenset(rng.sample(range(30), 4)) for _ in range(40)]
+    return Dnf.from_clauses(clauses), {i: 0.5 for i in range(30)}
+
+
+PINNED_DNFS = {
+    # 125 clauses over 60 variables
+    "reliability 3x5": lambda: program_lineage(reliability_text(3, 5, 100), "p(s,t)"),
+    "random 40-clause": random_dnf_40,
+    "corpus u(a)": lambda: program_lineage(corpus(40)[10], "u(a)"),
+}
+
+
+class TestSearchTree:
+    """The smallest step budget that succeeds is the number of Shannon and
+    component expansions, so pinning it pins the search tree: the branching
+    variable, the component split and the memo keys."""
+
+    @pytest.mark.parametrize(
+        "name, expansions",
+        [("reliability 3x5", 6979), ("random 40-clause", 5626), ("corpus u(a)", 13)],
+    )
+    def test_expansion_count_is_pinned(self, name, expansions):
+        d, weights = PINNED_DNFS[name]()
+        probability(d, weights, max_steps=expansions)
+        with pytest.raises(WmcBudgetError):
+            probability(d, weights, max_steps=expansions - 1)
+
+    def test_path_matches_transfer_matrix(self):
+        # Pr[some two consecutive variables are both true], against the
+        # two-state recursion for Pr[no two consecutive variables true]
+        rng = random.Random(4)
+        n = 400
+        d = Dnf.from_clauses([[i, i + 1] for i in range(n)])
+        w = {v: rng.uniform(0.0, 0.1) for v in range(n + 1)}
+        p0 = Fraction(w[0])
+        last_false, last_true = 1 - p0, p0
+        for v in range(1, n + 1):
+            p = Fraction(w[v])
+            last_false, last_true = (last_false + last_true) * (1 - p), last_false * p
+        expected = float(1 - last_false - last_true)
+        assert 0.1 < expected < 0.9
+        assert abs(probability(d, w) - expected) <= 1e-12 * expected
+
+
+small_clauses = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=11), min_size=1, max_size=4),
+    min_size=1,
+    max_size=10,
+)
+small_weights = st.lists(
+    st.floats(min_value=1e-4, max_value=1.0), min_size=12, max_size=12
+)
+
+
+class TestRelativeAccuracy:
+    @given(small_clauses, small_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_rational_oracle(self, clauses, weights):
+        d = Dnf.from_clauses(clauses)
+        w = weight_map(weights)
+        expected = exact_probability(d.clauses, w)
+        assert abs(Fraction(probability(d, w)) - expected) <= Fraction(1e-9) * expected
 
 
 class TestTruthTables:
