@@ -2,8 +2,12 @@
 
 Subcommands: `run` (graph-based reasoning), `oracle` (reference fixpoint
 engine), `gen` (benchmark program generators), `compare` (cross-engine
-probability check).  Reports are emitted as JSON or text; errors are always
-machine-readable JSON on stdout.
+probability check).  `run`, `oracle` and `compare` share one answer
+pipeline, `_answers`: reason with one engine, collect the answers matching
+the query, compute their probabilities (and per-round bounds).  Each
+subcommand accepts only the flags it reads.  Reports are emitted as JSON or
+text; errors are always machine-readable JSON on stdout, and a query on a
+predicate the program does not mention is an input error for every engine.
 
 Exit codes: 0 ok, 1 parse/input error, 2 resource limit, 3 wmc budget,
 4 compare mismatch.
@@ -21,16 +25,14 @@ from .lineage import (
     FALSE,
     Answer,
     Dnf,
-    IncompleteReasoningError,
     LineageTooLargeError,
-    UnknownPredicateError,
     collect_lineage,
     round_bound_snapshot,
 )
 from .model import Atom, Program, match_atom, normalize
 from .parser import ParseError, parse_atom, parse_program
-from .reasoner import CollapseMode, ReasonerOptions, run_pcor, run_pr
-from .tcp import TcpRoundLimitError, tcp_fixpoint, tcp_initial, tcp_step
+from .reasoner import CollapseMode, ReasonerOptions, ReasoningResult, run_pcor, run_pr
+from .tcp import TcpRoundLimitError, tcp_fixpoint
 from .generate import chain_program, powerlaw_program
 from .wmc import (
     TooManyVariablesError,
@@ -47,6 +49,8 @@ EXIT_MISMATCH = 4
 
 COMPARE_TOLERANCE = 1e-9
 
+TCP_MODES = {"tcp": "naive", "delta-tcp": "delta"}
+
 
 class CliError(Exception):
     def __init__(self, kind: str, message: str, code: int, extra: Optional[dict] = None):
@@ -57,24 +61,29 @@ class CliError(Exception):
         self.extra = extra or {}
 
 
-def _load_program(path: str) -> Program:
+def _load(args) -> tuple:
+    """The normalized program and the query atoms to answer."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.program, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
-        raise CliError("io", f"cannot read {path}: {e}", EXIT_PARSE)
+        raise CliError("io", f"cannot read {args.program}: {e}", EXIT_PARSE)
     try:
-        return parse_program(text)
+        prog = normalize(parse_program(text))
     except ParseError as e:
-        raise CliError("parse", f"{path}: {e}", EXIT_PARSE)
+        raise CliError("parse", f"{args.program}: {e}", EXIT_PARSE)
+    return prog, _resolve_queries(prog, args.query)
 
 
 def _resolve_queries(prog: Program, query_arg: Optional[str]) -> List[Atom]:
     if query_arg:
         try:
-            return [parse_atom(query_arg)]
+            query = parse_atom(query_arg)
         except ParseError as e:
             raise CliError("parse", f"bad query atom: {e}", EXIT_PARSE)
+        if query.predicate not in prog.predicates:
+            raise CliError("parse", f"unknown predicate {query.predicate.text}", EXIT_PARSE)
+        return [query]
     if prog.queries:
         return list(prog.queries)
     raise CliError(
@@ -82,53 +91,36 @@ def _resolve_queries(prog: Program, query_arg: Optional[str]) -> List[Atom]:
     )
 
 
-def _prob_fn(solver: str):
-    return probability if solver == "exact" else brute_force_probability
+def _ms(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
 
 
 def _compute_probability(dnf: Dnf, weights, solver: str) -> float:
+    prob_fn = probability if solver == "exact" else brute_force_probability
     try:
-        return _prob_fn(solver)(dnf, weights)
+        return prob_fn(dnf, weights)
     except (WmcBudgetError, TooManyVariablesError) as e:
         raise CliError("wmc", str(e), EXIT_WMC)
     except RecursionError as e:
         raise CliError("wmc", f"lineage too deep for the solver: {e}", EXIT_WMC)
 
 
-def _reason(prog: Program, args) -> tuple:
+def _reason(engine: str, prog: Program, args, collapse: str) -> ReasoningResult:
+    # Reasoner limits a subcommand has no flag for keep their defaults.
+    limits = {
+        name: getattr(args, name)
+        for name in ("threshold", "max_depth", "max_entries")
+        if hasattr(args, name)
+    }
     try:
-        opts = ReasonerOptions(
-            collapse=CollapseMode(args.collapse),
-            threshold=args.threshold,
-            max_depth=args.max_depth,
-            max_entries=args.max_entries,
-        )
+        opts = ReasonerOptions(collapse=CollapseMode(collapse), **limits)
     except ValueError as e:
         raise CliError("usage", str(e), EXIT_PARSE)
-    engine = "pr" if opts.collapse is CollapseMode.OFF else "pcor"
     runner = run_pr if engine == "pr" else run_pcor
-    t0 = time.perf_counter()
     try:
-        result = runner(prog, opts)
+        return runner(prog, opts)
     except RecursionError as e:
         raise CliError("resource", f"derivations too deep for reasoning: {e}", EXIT_RESOURCE)
-    reason_ms = (time.perf_counter() - t0) * 1000.0
-    return engine, result, reason_ms
-
-
-def _reasoner_stats(result, reason_ms: float, lineage_ms: float, prob_ms: float) -> dict:
-    return {
-        "rounds": result.stats.rounds_executed,
-        "nodes": sum(1 for _ in result.graph.live_nodes()),
-        "entries": result.stats.total("entries_stored"),
-        "or_entries": result.stats.total("or_entries"),
-        "instantiations": result.stats.total("instantiations"),
-        "time_ms": {
-            "reason": reason_ms,
-            "lineage": lineage_ms,
-            "prob": prob_ms,
-        },
-    }
 
 
 def _collect_answers(result, prog: Program, queries: List[Atom]) -> List[Answer]:
@@ -137,137 +129,124 @@ def _collect_answers(result, prog: Program, queries: List[Atom]) -> List[Answer]
         for q in queries:
             for ans in collect_lineage(result, prog, q):
                 answers.setdefault(ans.fact, ans)
-    except (LineageTooLargeError, IncompleteReasoningError) as e:
+    except LineageTooLargeError as e:
         raise CliError("resource", str(e), EXIT_RESOURCE)
     except RecursionError as e:
         raise CliError("resource", f"derivations too deep for lineage: {e}", EXIT_RESOURCE)
-    except UnknownPredicateError as e:
-        raise CliError("parse", str(e), EXIT_PARSE)
     return sorted(answers.values(), key=lambda a: a.fact.sort_key())
 
 
-def cmd_run(args) -> tuple:
-    prog = normalize(_load_program(args.program))
-    queries = _resolve_queries(prog, args.query)
-    engine, result, reason_ms = _reason(prog, args)
-    if args.dump_graph:
-        print(result.graph.dump(), file=sys.stderr)
-    if result.truncated:
-        raise CliError(
-            "resource",
-            f"reasoning truncated by resource limit ({result.stop_reason})",
-            EXIT_RESOURCE,
-            extra={"stats": _reasoner_stats(result, reason_ms, 0.0, 0.0)},
-        )
+def _answers(
+    engine: str, prog: Program, queries: List[Atom], args, collapse: str = "off"
+) -> tuple:
+    """Answer `queries` with one engine: `pr` or `pcor` (the graph
+    reasoner, pcor collapsing as `collapse` says) or the reference engine
+    `tcp` or `delta-tcp`.
 
+    Returns the answers with their probabilities, each answer's per-round
+    bounds when `args.bounds` asks for them, and the run's stats.
+    """
+    want_bounds = getattr(args, "bounds", False)
     t0 = time.perf_counter()
-    answers = _collect_answers(result, prog, queries)
-    lineage_ms = (time.perf_counter() - t0) * 1000.0
-
-    fact_var = {f.fact: f.var for f in prog.facts}
-    bounds: Dict[Atom, List[float]] = {}
-    if args.bounds:
-        memo: dict = {}
-        snaps = [
-            round_bound_snapshot(result, k, memo)
-            for k in range(1, result.rounds + 1)
+    if engine in TCP_MODES:
+        try:
+            inst = tcp_fixpoint(prog, TCP_MODES[engine], args.max_depth or 64)
+        except TcpRoundLimitError as e:
+            raise CliError("resource", str(e), EXIT_RESOURCE)
+        reason_ms = _ms(t0)
+        stats = {
+            "rounds": inst.round,
+            "nodes": 0,
+            "entries": 0,
+            "or_entries": 0,
+            "instantiations": inst.instantiations,
+        }
+        t0 = time.perf_counter()
+        answers = [
+            Answer(a, inst.formulas[a])
+            for a in sorted(inst.formulas, key=Atom.sort_key)
+            if any(match_atom(q, a, {}) is not None for q in queries)
         ]
+        history = inst.history
+    else:
+        result = _reason(engine, prog, args, collapse)
+        reason_ms = _ms(t0)
+        stats = {
+            "rounds": result.stats.rounds_executed,
+            "nodes": sum(1 for _ in result.graph.live_nodes()),
+            "entries": result.stats.total("entries_stored"),
+            "or_entries": result.stats.total("or_entries"),
+            "instantiations": result.stats.total("instantiations"),
+        }
+        if getattr(args, "dump_graph", False):
+            print(result.graph.dump(), file=sys.stderr)
+        if result.truncated:
+            stats["time_ms"] = {"reason": reason_ms, "lineage": 0.0, "prob": 0.0}
+            raise CliError(
+                "resource",
+                f"reasoning truncated by resource limit ({result.stop_reason})",
+                EXIT_RESOURCE,
+                extra={"stats": stats},
+            )
+        t0 = time.perf_counter()
+        answers = _collect_answers(result, prog, queries)
+        history = []
+        if want_bounds:
+            memo: dict = {}
+            history = [
+                round_bound_snapshot(result, k, memo) for k in range(1, result.rounds + 1)
+            ]
+    lineage_ms = _ms(t0)
+
+    bounds: Dict[Atom, List[float]] = {}
+    if want_bounds:
+        # A graph snapshot covers derivations only; a database fact also
+        # holds by its own variable from the first round on.
+        own = {f.fact: Dnf.single(f.var) for f in prog.facts}
         for ans in answers:
-            seq = []
-            for snap in snaps:
-                dnf = snap.get(ans.fact, FALSE)
-                if ans.fact in fact_var:
-                    dnf = dnf | Dnf.single(fact_var[ans.fact])
-                seq.append(_compute_probability(dnf, prog.weights, args.solver))
-            bounds[ans.fact] = seq
+            bounds[ans.fact] = [
+                _compute_probability(
+                    snap.get(ans.fact, FALSE) | own.get(ans.fact, FALSE),
+                    prog.weights,
+                    args.solver,
+                )
+                for snap in history
+            ]
 
     t0 = time.perf_counter()
     answers = [
         Answer(a.fact, a.lineage, _compute_probability(a.lineage, prog.weights, args.solver))
         for a in answers
     ]
-    prob_ms = (time.perf_counter() - t0) * 1000.0
-
-    payload = {
-        "engine": engine,
-        "answers": [
-            _answer_json(a, prog, bounds.get(a.fact)) for a in answers
-        ],
-        "stats": _reasoner_stats(result, reason_ms, lineage_ms, prob_ms),
-        "truncated": result.truncated,
-    }
-    return payload, EXIT_OK
+    stats["time_ms"] = {"reason": reason_ms, "lineage": lineage_ms, "prob": _ms(t0)}
+    return answers, bounds, stats
 
 
-def _answer_json(ans: Answer, prog: Program, bounds: Optional[List[float]]) -> dict:
-    out = {
-        "fact": str(ans.fact),
-        "probability": ans.probability,
-        "lineage": ans.lineage.to_json(prog.var_names),
-    }
-    if bounds is not None:
-        out["bounds"] = bounds
-    return out
+def _report(engine: str, prog: Program, answers, bounds, stats) -> dict:
+    rows = []
+    for ans in answers:
+        row = {
+            "fact": str(ans.fact),
+            "probability": ans.probability,
+            "lineage": ans.lineage.to_json(prog.var_names),
+        }
+        if ans.fact in bounds:
+            row["bounds"] = bounds[ans.fact]
+        rows.append(row)
+    return {"engine": engine, "answers": rows, "stats": stats, "truncated": False}
+
+
+def cmd_run(args) -> tuple:
+    prog, queries = _load(args)
+    engine = "pr" if args.collapse == "off" else "pcor"
+    answers, bounds, stats = _answers(engine, prog, queries, args, args.collapse)
+    return _report(engine, prog, answers, bounds, stats), EXIT_OK
 
 
 def cmd_oracle(args) -> tuple:
-    prog = normalize(_load_program(args.program))
-    queries = _resolve_queries(prog, args.query)
-    mode = "naive" if args.engine == "tcp" else "delta"
-    max_rounds = args.max_depth or 64
-
-    t0 = time.perf_counter()
-    history = []
-    inst = tcp_initial(prog)
-    try:
-        for _ in range(max_rounds):
-            inst = tcp_step(inst, prog, mode)
-            history.append(inst)
-            if not inst.updated:
-                break
-        else:
-            raise TcpRoundLimitError(f"no fixpoint within {max_rounds} rounds")
-    except TcpRoundLimitError as e:
-        raise CliError("resource", str(e), EXIT_RESOURCE)
-    reason_ms = (time.perf_counter() - t0) * 1000.0
-
-    instances = sorted(
-        (
-            a
-            for a in inst.formulas
-            if any(match_atom(q, a, {}) is not None for q in queries)
-        ),
-        key=Atom.sort_key,
-    )
-    t0 = time.perf_counter()
-    answers = []
-    bound_seqs: Dict[Atom, List[float]] = {}
-    for a in instances:
-        p = _compute_probability(inst.formulas[a], prog.weights, args.solver)
-        answers.append(Answer(a, inst.formulas[a], p))
-        if args.bounds:
-            bound_seqs[a] = [
-                _compute_probability(h.formulas.get(a, FALSE), prog.weights, args.solver)
-                for h in history
-            ]
-    prob_ms = (time.perf_counter() - t0) * 1000.0
-
-    payload = {
-        "engine": args.engine,
-        "answers": [
-            _answer_json(a, prog, bound_seqs.get(a.fact)) for a in answers
-        ],
-        "stats": {
-            "rounds": inst.round,
-            "nodes": 0,
-            "entries": 0,
-            "or_entries": 0,
-            "instantiations": inst.instantiations,
-            "time_ms": {"reason": reason_ms, "lineage": 0.0, "prob": prob_ms},
-        },
-        "truncated": False,
-    }
-    return payload, EXIT_OK
+    prog, queries = _load(args)
+    answers, bounds, stats = _answers(args.engine, prog, queries, args)
+    return _report(args.engine, prog, answers, bounds, stats), EXIT_OK
 
 
 def cmd_gen(args) -> tuple:
@@ -286,65 +265,25 @@ def cmd_gen(args) -> tuple:
 
 
 def cmd_compare(args) -> tuple:
-    prog = normalize(_load_program(args.program))
-    queries = _resolve_queries(prog, args.query)
+    prog, queries = _load(args)
     times: Dict[str, float] = {}
     probs: Dict[str, Dict[str, float]] = {}
-
-    for engine in ("pr", "pcor", "tcp"):
+    for engine, collapse in (("pr", "off"), ("pcor", "on"), ("tcp", "off")):
         t0 = time.perf_counter()
-        if engine == "tcp":
-            try:
-                inst = tcp_fixpoint(prog, "naive", max_rounds=args.max_depth or 64)
-            except TcpRoundLimitError as e:
-                raise CliError("resource", str(e), EXIT_RESOURCE)
-            answers = [
-                Answer(a, inst.formulas[a])
-                for a in sorted(inst.formulas, key=Atom.sort_key)
-                if any(match_atom(q, a, {}) is not None for q in queries)
-            ]
-        else:
-            try:
-                opts = ReasonerOptions(
-                    collapse=CollapseMode.OFF if engine == "pr" else CollapseMode.ON,
-                    threshold=args.threshold,
-                    max_depth=args.max_depth,
-                    max_entries=args.max_entries,
-                )
-            except ValueError as e:
-                raise CliError("usage", str(e), EXIT_PARSE)
-            runner = run_pr if engine == "pr" else run_pcor
-            result = runner(prog, opts)
-            if result.truncated:
-                raise CliError(
-                    "resource", f"{engine}: reasoning truncated", EXIT_RESOURCE
-                )
-            answers = _collect_answers(result, prog, queries)
-        probs[engine] = {
-            str(a.fact): _compute_probability(a.lineage, prog.weights, args.solver)
-            for a in answers
-        }
-        times[engine] = (time.perf_counter() - t0) * 1000.0
+        answers, _, _ = _answers(engine, prog, queries, args, collapse)
+        probs[engine] = {str(a.fact): a.probability for a in answers}
+        times[engine] = _ms(t0)
 
-    all_facts = sorted(set().union(*[set(p) for p in probs.values()]))
     rows = []
-    max_delta = 0.0
-    mismatch = False
-    for fact in all_facts:
-        values = {}
-        for engine in ("pr", "pcor", "tcp"):
-            if fact not in probs[engine]:
-                mismatch = True
-                values[engine] = None
-            else:
-                values[engine] = probs[engine][fact]
+    for fact in sorted(set().union(*probs.values())):
+        values = {engine: p.get(fact) for engine, p in probs.items()}
         present = [v for v in values.values() if v is not None]
-        delta = max(present) - min(present) if present else 0.0
-        max_delta = max(max_delta, delta)
-        rows.append({"fact": fact, **values, "delta": delta})
-    if max_delta > COMPARE_TOLERANCE:
-        mismatch = True
-
+        rows.append({"fact": fact, **values, "delta": max(present) - min(present)})
+    max_delta = max((row["delta"] for row in rows), default=0.0)
+    # An engine that misses an answer has fewer facts than the union.
+    mismatch = max_delta > COMPARE_TOLERANCE or any(
+        len(p) < len(rows) for p in probs.values()
+    )
     payload = {
         "engine": "compare",
         "answers": rows,
@@ -379,10 +318,25 @@ def _render_text(payload: dict, args) -> str:
         if "bounds" in ans:
             seq = ", ".join(f"{b:.12g}" for b in ans["bounds"])
             lines.append(f"  bounds: [{seq}]")
-    if getattr(args, "stats", False):
+    if args.stats:
         lines.append(f"stats: {json.dumps(payload['stats'], sort_keys=True)}")
         lines.append(f"truncated: {payload['truncated']}")
     return "\n".join(lines)
+
+
+# The flags of the answering subcommands; each lists the ones it reads.
+FLAGS = {
+    "--program": dict(required=True, help="program file"),
+    "--query": dict(help="query atom, e.g. 'p(a,X)'"),
+    "--collapse": dict(choices=["auto", "on", "off"], default="auto"),
+    "--threshold": dict(type=int, default=10),
+    "--max-depth": dict(type=int, default=None),
+    "--max-entries": dict(type=int, default=None),
+    "--solver": dict(choices=["exact", "bruteforce"], default="exact"),
+    "--bounds": dict(action="store_true", help="per-round probability bounds"),
+    "--stats": dict(action="store_true"),
+    "--output": dict(choices=["json", "text"], default="text"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,27 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--program", required=True, help="program file")
-        p.add_argument("--query", help="query atom, e.g. 'p(a,X)'")
-        p.add_argument("--collapse", choices=["auto", "on", "off"], default="auto")
-        p.add_argument("--threshold", type=int, default=10)
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--max-entries", type=int, default=None)
-        p.add_argument("--solver", choices=["exact", "bruteforce"], default="exact")
-        p.add_argument("--bounds", action="store_true", help="per-round probability bounds")
-        p.add_argument("--stats", action="store_true")
-        p.add_argument("--output", choices=["json", "text"], default="text")
+    def subcommand(name, func, summary, flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p_run = sub.add_parser("run", help="reason with the graph-based engine")
-    common(p_run)
+    p_run = subcommand(
+        "run", cmd_run, "reason with the graph-based engine",
+        "--program --query --collapse --threshold --max-depth --max-entries"
+        " --solver --bounds --stats --output",
+    )
     p_run.add_argument("--dump-graph", action="store_true", help="debug: adjacency list on stderr")
-    p_run.set_defaults(func=cmd_run)
 
-    p_oracle = sub.add_parser("oracle", help="reason with the reference fixpoint engine")
-    common(p_oracle)
-    p_oracle.add_argument("--engine", choices=["tcp", "delta-tcp"], default="tcp")
-    p_oracle.set_defaults(func=cmd_oracle)
+    p_oracle = subcommand(
+        "oracle", cmd_oracle, "reason with the reference fixpoint engine",
+        "--program --query --max-depth --solver --bounds --stats --output",
+    )
+    p_oracle.add_argument("--engine", choices=list(TCP_MODES), default="tcp")
 
     p_gen = sub.add_parser("gen", help="generate a benchmark program")
     p_gen.add_argument("--kind", choices=["powerlaw", "chain"], required=True)
@@ -421,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_cmp = sub.add_parser("compare", help="run pr, pcor, and tcp; check probability deltas")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
+    subcommand(
+        "compare", cmd_compare, "run pr, pcor, and tcp; check probability deltas",
+        "--program --query --max-depth --max-entries --solver --output",
+    )
     return parser
 
 

@@ -10,7 +10,6 @@ round was removed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional
@@ -73,7 +72,6 @@ class RoundStats:
 @dataclass
 class ReasonerStats:
     per_round: List[RoundStats] = field(default_factory=list)
-    wall_s: float = 0.0
 
     @property
     def rounds_executed(self) -> int:
@@ -106,7 +104,6 @@ class ReasoningResult:
 def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
     if not prog.is_normalized():
         raise ValueError("program must be normalized before reasoning")
-    t0 = time.perf_counter()
     facts = FactIndex(prog.facts)
     rules = sorted(prog.rules, key=lambda r: r.id)
     # Collapsed stores can hide derivations that repeat facts below the
@@ -186,7 +183,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
             stop_reason = "max_depth"
             break
 
-    stats.wall_s = time.perf_counter() - t0
     return ReasoningResult(
         graph=g,
         stores=stores,

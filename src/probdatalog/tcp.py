@@ -14,13 +14,11 @@ the graph-based reasoner and is exposed through the CLI for comparison.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .lineage import FALSE, TRUE, Dnf
 from .model import Atom, Program, Symbol, join, substitute
-from .wmc import probability, truth_table_equal
 
 
 class TcpRoundLimitError(RuntimeError):
@@ -33,12 +31,14 @@ class TcpInstance:
 
     `updated` holds the atoms whose formula changed (as a Boolean function)
     in the most recent round; the fixpoint is reached when it is empty.
+    `history[k - 1]` is the map after round k, so the last one is `formulas`.
     """
 
     formulas: Dict[Atom, Dnf]
     round: int = 0
     instantiations: int = 0
     updated: frozenset[Atom] = frozenset()
+    history: Tuple[Dict[Atom, Dnf], ...] = ()
 
 
 def tcp_initial(prog: Program) -> TcpInstance:
@@ -103,47 +103,32 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
             changed.add(head)
         formulas[head] = new
     return TcpInstance(
-        formulas, inst.round + 1, inst.instantiations + count, frozenset(changed)
+        formulas,
+        inst.round + 1,
+        inst.instantiations + count,
+        frozenset(changed),
+        (*inst.history, formulas),
     )
 
 
 def tcp_fixpoint(
     prog: Program, mode: str = "naive", max_rounds: int = 64
 ) -> TcpInstance:
-    """Iterate rounds until no formula changes; `round` names the round
-    that detected the fixpoint."""
+    """Iterate rounds until no formula changes.
+
+    `round` names the round that detected the fixpoint, and `history` holds
+    every round's formulas up to it, from which per-round probability
+    bounds are read.
+    """
     inst = tcp_initial(prog)
     for _ in range(max_rounds):
-        nxt = tcp_step(inst, prog, mode)
-        if not nxt.updated:
-            return nxt
-        inst = nxt
+        inst = tcp_step(inst, prog, mode)
+        if not inst.updated:
+            return inst
     raise TcpRoundLimitError(f"no fixpoint within {max_rounds} rounds")
 
 
-def formulas_equivalent(
-    a: Dnf,
-    b: Dnf,
-    max_tt_vars: int = 20,
-    trials: int = 8,
-    seed: int = 0,
-) -> bool:
-    """Boolean equivalence of two lineage formulas.
-
-    Equal normal forms short-circuit the check.  Up to `max_tt_vars`
-    variables the comparison is an exact truth table; beyond that it falls
-    back to probabilistic identity testing (evaluate both formulas at
-    `trials` random weight vectors and compare within 1e-9), which is a
-    testing-grade shortcut rather than a proof.
-    """
-    if a == b:
-        return True
-    variables = sorted(a.variables | b.variables)
-    if len(variables) <= max_tt_vars:
-        return truth_table_equal(a, b, max_tt_vars)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        weights = {v: rng.uniform(0.05, 0.95) for v in variables}
-        if abs(probability(a, weights) - probability(b, weights)) > 1e-9:
-            return False
-    return True
+def formulas_equivalent(a: Dnf, b: Dnf) -> bool:
+    """Boolean equivalence of two lineage formulas.  Normalized monotone
+    DNFs are canonical, so it is equality of normal forms."""
+    return a == b

@@ -222,14 +222,18 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "resource"
 
-    @pytest.mark.parametrize("collapse", ["off", "on", "auto"])
-    def test_deep_reasoning_exits_2(self, capsys, monkeypatch, running_file, collapse):
+    @pytest.mark.parametrize(
+        "command",
+        [pytest.param(["run", "--collapse", c], id=c) for c in ("off", "on", "auto")]
+        + [pytest.param(["compare"], id="compare")],
+    )
+    def test_deep_reasoning_exits_2(self, capsys, monkeypatch, running_file, command):
         def too_deep(prog, opts):
             raise RecursionError("maximum recursion depth exceeded")
 
         monkeypatch.setattr(cli, "run_pr", too_deep)
         monkeypatch.setattr(cli, "run_pcor", too_deep)
-        code = cli.main(["run", "--program", running_file, "--collapse", collapse])
+        code = cli.main([*command, "--program", running_file])
         captured = capsys.readouterr()
         assert code == 2
         error = json.loads(captured.out)["error"]
@@ -250,11 +254,39 @@ class TestErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_unknown_query_predicate_exits_1_on_every_engine(
+        self, capsys, running_file, command
+    ):
+        code, out = run_cli(
+            capsys, command, "--program", running_file, "--query", "zz(a)"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "parse"
+
     def test_invalid_engine_name_is_a_usage_error(self, running_file):
         with pytest.raises(SystemExit) as err:
             cli.main(
                 ["oracle", "--program", running_file, "--engine", "bogus"]
             )
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "oracle --collapse on",
+            "oracle --threshold 5",
+            "oracle --max-entries 100",
+            "compare --collapse on",
+            "compare --threshold 5",
+            "compare --bounds",
+            "compare --stats",
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, running_file, argv):
+        command, *flags = argv.split()
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--program", running_file, *flags])
         assert err.value.code == 2
 
 

@@ -137,6 +137,16 @@ class TestResourceGuards:
         assert result.truncated
         assert result.stats.per_round
 
+    def test_entry_budget_counts_or_entries(self):
+        # instantiate_node's budget covers AND entries only; the check after
+        # the store loop is what stops a run on the OR entries collapsing
+        # allocates.  Without it this run stores 8 entries in 3 rounds.
+        prog = normalize(parse_program(collapse_example(6)))
+        result = run_pcor(prog, ReasonerOptions(collapse="on", max_entries=13))
+        assert result.stop_reason == "max_entries"
+        assert sum(result.live_store_sizes().values()) == 7
+        assert result.stats.rounds_executed == 2
+
     @pytest.mark.parametrize(
         "text",
         [chain_program(8, 0)] + [random_program_text(seed) for seed in range(40)],
