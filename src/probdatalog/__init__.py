@@ -16,11 +16,10 @@ from .derivations import (
     NodeStore,
     collapse,
     instantiate_node,
-    is_redundant,
+    is_hereditarily_redundant,
     should_collapse,
-    unfold,
 )
-from .graph import EgNode, ExecutionGraph, base_step, inductive_step, k_compatible
+from .graph import EgNode, ExecutionGraph, base_step, inductive_step
 from .lineage import (
     FALSE,
     TRUE,
@@ -59,7 +58,6 @@ from .reasoner import (
 from .tcp import (
     TcpInstance,
     TcpRoundLimitError,
-    formulas_equivalent,
     tcp_fixpoint,
     tcp_initial,
     tcp_step,
@@ -70,7 +68,6 @@ from .wmc import (
     WmcBudgetError,
     brute_force_probability,
     probability,
-    truth_table_equal,
 )
 from .generate import chain_program, powerlaw_program
 

@@ -78,17 +78,19 @@ def _load(args) -> tuple:
 def _resolve_queries(prog: Program, query_arg: Optional[str]) -> List[Atom]:
     if query_arg:
         try:
-            query = parse_atom(query_arg)
+            queries = [parse_atom(query_arg)]
         except ParseError as e:
             raise CliError("parse", f"bad query atom: {e}", EXIT_PARSE)
+    elif prog.queries:
+        queries = list(prog.queries)
+    else:
+        raise CliError(
+            "parse", "no --query given and the program declares no query(...)", EXIT_PARSE
+        )
+    for query in queries:
         if query.predicate not in prog.predicates:
             raise CliError("parse", f"unknown predicate {query.predicate.text}", EXIT_PARSE)
-        return [query]
-    if prog.queries:
-        return list(prog.queries)
-    raise CliError(
-        "parse", "no --query given and the program declares no query(...)", EXIT_PARSE
-    )
+    return queries
 
 
 def _ms(t0: float) -> float:

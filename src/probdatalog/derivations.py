@@ -1,4 +1,4 @@
-"""Derivation storage with structure sharing, collapsing, and unfolding.
+"""Derivation storage with structure sharing, collapsing, and redundancy.
 
 A stored derivation is a DAG entry: an AND entry records one rule
 instantiation and points at one child per body atom (either a database
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .graph import EgNode
 from .model import Atom, ProbFact, RuleKind, join, substitute
@@ -37,12 +37,6 @@ class DerivationEntry:
     label: Label
     children: tuple["Child", ...]
     home: int  # owning execution-graph node
-    has_or: bool = field(init=False)
-
-    def __post_init__(self):
-        self.has_or = self.label is Label.OR or any(
-            isinstance(c, DerivationEntry) and c.has_or for c in self.children
-        )
 
 
 Child = Union[Leaf, DerivationEntry]
@@ -144,47 +138,14 @@ def instantiate_node(
 # Redundancy
 # ---------------------------------------------------------------------------
 
-def is_redundant(entry: DerivationEntry) -> bool:
-    """True iff every unfolding of `entry` repeats its root fact internally.
-
-    Such derivations add nothing to the lineage: the repeated subderivation
-    already supplies a subsuming clause.  Computed without materializing
-    unfoldings: avoid(x) decides whether some unfolding of subtree x is
-    free of the root fact, conjoining over AND children and disjoining
-    over OR alternatives, with memoization over the shared DAG.
-    """
-    target = entry.root
-    memo: Dict[int, bool] = {}
-
-    def avoid(x: Child) -> bool:
-        if isinstance(x, Leaf):
-            return True
-        cached = memo.get(id(x))
-        if cached is not None:
-            return cached
-        if x.root == target:
-            res = False
-        elif x.label is Label.AND:
-            res = all(avoid(c) for c in x.children)
-        else:
-            res = any(avoid(c) for c in x.children)
-        memo[id(x)] = res
-        return res
-
-    def root_clear(x: DerivationEntry) -> bool:
-        # Occurrence of the root fact AT the root is allowed; an OR entry
-        # is clear when some alternative is.
-        if x.label is Label.AND:
-            return all(avoid(c) for c in x.children)
-        return any(root_clear(c) for c in x.children)
-
-    return not root_clear(entry)
+# One shared empty set: `frozenset()` builds a new object on every call.
+EMPTY: frozenset = frozenset()
 
 
 def _atom_cone(x: Child) -> frozenset[Atom]:
     """Facts occurring anywhere in an entry's DAG (cached per entry)."""
     if isinstance(x, Leaf):
-        return frozenset()
+        return EMPTY
     cached = getattr(x, "_cone", None)
     if cached is None:
         cached = frozenset({x.root}).union(*(_atom_cone(c) for c in x.children))
@@ -194,24 +155,26 @@ def _atom_cone(x: Child) -> frozenset[Atom]:
 
 def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
     """True iff in every unfolding of `entry` some fact repeats along a
-    root-to-leaf path.
+    root-to-leaf path.  An unfolding keeps one alternative of each OR entry.
 
-    A stored OR entry may carry alternatives whose unfoldings repeat facts
-    other than the entry's own root; derivations built on top of those
-    alternatives are subsumed (replacing the repeated fact's subtree by its
-    inner occurrence yields a smaller derivation with a subsuming clause),
-    yet the root-only check never rejects them.  Collapsed reasoning must
-    filter by this stronger notion or it keeps deriving such subsumed
-    trees forever and loses termination parity with uncollapsed reasoning.
-    For entries whose children all come from root-only-filtered plain
-    stores the two notions coincide.
+    Such a derivation is subsumed: replacing the repeated fact's subtree by
+    its inner occurrence yields a smaller derivation with a subsuming
+    clause.  The paper's rule looks only for the entry's own root fact.  On
+    plain stores the two agree: a stored plain entry passed this check, so
+    no path inside it repeats a fact, and a candidate built on such entries
+    can repeat only its own root.  A collapsed OR entry, though, may carry
+    alternatives that repeat some inner fact; the root-only rule never
+    rejects derivations built on those, and collapsed reasoning would keep
+    deriving them and lose termination parity with plain reasoning.
     """
     memo: Dict[tuple, bool] = {}
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
         if isinstance(x, Leaf):
             return True
-        key = (id(x), ancestors & _atom_cone(x))
+        # Only ancestors inside x's cone can repeat below x, and the root
+        # has none, so it needs no cone.
+        key = (id(x), ancestors and ancestors & _atom_cone(x))
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -227,11 +190,11 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
         memo[key] = res
         return res
 
-    return not ok(entry, frozenset())
+    return not ok(entry, EMPTY)
 
 
 # ---------------------------------------------------------------------------
-# Collapse / unfold
+# Collapse
 # ---------------------------------------------------------------------------
 
 def collapse(trees: Sequence[DerivationEntry]) -> DerivationEntry:
@@ -253,23 +216,3 @@ def should_collapse(
         raise ValueError("empty derivation map")
     total = sum(len(v) for v in trees_by_root.values())
     return total / len(trees_by_root) >= threshold
-
-
-def unfold(entry: Child) -> Iterator[Child]:
-    """Plain-AND derivations encoded by an entry, lazily.
-
-    An entry without OR labels unfolds to itself; an OR entry to the
-    concatenation of its children's unfoldings; an AND entry above an OR
-    to the Cartesian product of its children's unfoldings, re-rooted under
-    the entry's own root fact.
-    """
-    if isinstance(entry, Leaf) or not entry.has_or:
-        yield entry
-        return
-    if entry.label is Label.OR:
-        for child in entry.children:
-            yield from unfold(child)
-        return
-    for combo in itertools.product(*(tuple(unfold(c)) for c in entry.children)):
-        yield DerivationEntry(entry.root, Label.AND, combo, entry.home)
-

@@ -6,20 +6,19 @@ form) and an edge `u ->_j v` requires the head predicate of u's rule to
 equal the j-th body predicate of v's rule.  Nodes are only ever appended,
 and removal is a tombstone so references into a node's store stay valid.
 
-`k_compatible` is the paper's definition of the parent tuples a depth-k
-node may have.  The reasoner grows the graph join-driven instead: it hands
-`inductive_step` the root facts each stored node holds, and a node is
-created only for a parent tuple whose root facts ground the rule body at
-least once.  Those tuples come from a semi-naive hash join (`model.join`)
-over the root facts, so a node that could store nothing is never created,
-rather than created, instantiated and tombstoned.
+The graph grows join-driven: the reasoner hands `inductive_step` the root
+facts each stored node holds, and a depth-k node is created only for a
+parent tuple whose root facts ground the rule body at least once.  Those
+tuples come from a semi-naive hash join (`model.join`) over the root facts,
+so a node that could store nothing is never created, rather than created,
+instantiated and tombstoned.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from .model import Atom, Rule, RuleKind, Symbol, join
 
@@ -78,32 +77,6 @@ def base_step(rules: Sequence[Rule]) -> ExecutionGraph:
     return g
 
 
-def k_compatible(
-    g: ExecutionGraph, rule: Rule, k: int
-) -> List[tuple[int, ...]]:
-    """Parent tuples eligible to feed a fresh depth-k node for `rule`.
-
-    Per body position the head predicate must match, every parent must be
-    shallower than k, and at least one parent must sit at depth k - 1.
-    Tuples come out in lexicographic node-id order.
-    """
-    per_position: List[List[EgNode]] = []
-    for atom in rule.body:
-        cands = [
-            n
-            for n in g.live_nodes()
-            if n.depth < k and n.rule.head.predicate is atom.predicate
-        ]
-        if not cands:
-            return []
-        per_position.append(cands)
-    out = []
-    for combo in itertools.product(*per_position):
-        if any(n.depth == k - 1 for n in combo):
-            out.append(tuple(n.id for n in combo))
-    return out
-
-
 _BELOW, _AT, _ANY = 0, 1, 2  # depth below k - 1, exactly k - 1, below k
 
 
@@ -137,8 +110,10 @@ class _RootIndex:
 
 
 def _joinable(rule: Rule, index: _RootIndex) -> List[tuple[int, ...]]:
-    """The k-compatible parent tuples of `rule` whose root facts ground its
-    body at least once, in lexicographic node-id order.
+    """The parent tuples of a depth-k node for `rule` (head predicates
+    matching the body, every parent below depth k, some parent at k - 1)
+    whose root facts ground its body at least once, in lexicographic
+    node-id order.
 
     Semi-naive split: with position j drawn from depth k - 1, earlier
     positions from below k - 1 and later ones from below k, every tuple
@@ -164,29 +139,27 @@ def inductive_step(
     g: ExecutionGraph,
     rules: Iterable[Rule],
     k: int,
-    roots: Optional[Mapping[int, Iterable[Atom]]] = None,
+    roots: Mapping[int, Iterable[Atom]],
 ) -> List[EgNode]:
     """Extend the graph to depth k; returns the freshly added nodes.
 
-    A fresh node is added per non-base rule and parent tuple, rule by rule
-    and each rule's tuples in lexicographic order.  Without `roots` every
-    k-compatible tuple gets a node.  With `roots`, the root facts of each
-    live node's store by node id, growth is join-driven: only tuples whose
-    parents' root facts ground the rule body at least once get a node, so
-    no node is created only to be tombstoned for storing nothing.  They are
-    found by one semi-naive hash join per rule over an index of root facts
-    to the nodes holding them, built once per round.
+    `roots` holds the root facts of each live node's store by node id.  A
+    fresh node is added per non-base rule and parent tuple whose parents'
+    root facts ground the rule body at least once, rule by rule and each
+    rule's tuples in lexicographic order, so no node is created only to be
+    tombstoned for storing nothing.  The tuples are found by one semi-naive
+    hash join per rule over an index of root facts to the nodes holding
+    them, built once per round.
 
     Existing nodes and edges are never altered, and tombstoned nodes are
     never re-created since they are excluded from enumeration.
     """
-    index = None if roots is None else _RootIndex(g, roots, k)
+    index = _RootIndex(g, roots, k)
     added = []
     for r in rules:
         if r.kind is not RuleKind.NONBASE:
             continue
-        tuples = k_compatible(g, r, k) if index is None else _joinable(r, index)
-        for parents in tuples:
+        for parents in _joinable(r, index):
             node = g.add_node(r, parents)
             assert node.depth == k
             added.append(node)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
 
-from .derivations import DerivationEntry, Label, Leaf
+from .derivations import EMPTY, DerivationEntry, Label, Leaf
 from .model import Atom, Program, match_atom
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,8 +43,8 @@ class IncompleteReasoningError(RuntimeError):
 def _absorb(clauses: Iterable[Clause]) -> frozenset[Clause]:
     """Drop every clause that is a superset of another clause."""
     unique = set(clauses)
-    if frozenset() in unique:
-        return frozenset({frozenset()})
+    if EMPTY in unique:
+        return frozenset({EMPTY})
     kept: List[Clause] = []
     occ: Dict[int, List[int]] = {}
     for c in sorted(unique, key=len):
@@ -84,11 +84,11 @@ def _disjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
 
 def _conjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
     """Conjunction with one absorption, raising where a fold of `and_` would."""
-    factors = [d for d in dnfs if frozenset() not in d.clauses]
+    factors = [d for d in dnfs if EMPTY not in d.clauses]
     if len(factors) < 2:
         return factors[0] if factors else TRUE
     if max_clauses != 0 and all(len(d.clauses) == 1 for d in factors):
-        return Dnf(frozenset([frozenset().union(*[c for d in factors for c in d.clauses])]))
+        return Dnf(frozenset([EMPTY.union(*[c for d in factors for c in d.clauses])]))
     out, *rest = [d.clauses for d in factors]
     for f in rest:
         if max_clauses is not None and len(out) * len(f) > max_clauses:
@@ -124,7 +124,7 @@ class Dnf:
 
     @property
     def is_true(self) -> bool:
-        return frozenset() in self.clauses
+        return EMPTY in self.clauses
 
     @cached_property
     def variables(self) -> frozenset[int]:
@@ -149,14 +149,6 @@ class Dnf:
     def evaluate(self, true_vars: frozenset[int] | set[int]) -> bool:
         return any(c <= true_vars for c in self.clauses)
 
-    def condition(self, var: int, value: bool) -> "Dnf":
-        """Restrict the formula by fixing one (positive) variable."""
-        if value:
-            return Dnf(
-                _absorb(c - {var} if var in c else c for c in self.clauses)
-            )
-        return Dnf(frozenset(c for c in self.clauses if var not in c))
-
     def sorted_clauses(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(c)) for c in self.clauses)
 
@@ -174,7 +166,7 @@ class Dnf:
         )
 
 
-TRUE = Dnf(frozenset({frozenset()}))
+TRUE = Dnf(frozenset({EMPTY}))
 FALSE = Dnf(frozenset())
 
 

@@ -157,10 +157,10 @@ class Program:
 
     @cached_property
     def predicates(self) -> frozenset[Symbol]:
+        """Predicates of facts and rules; a query alone does not add one."""
         preds = set(self.fact_predicates) | set(self.head_predicates)
         for r in self.rules:
             preds.update(a.predicate for a in r.body)
-        preds.update(q.predicate for q in self.queries)
         return frozenset(preds)
 
     @cached_property
@@ -359,7 +359,7 @@ def normalize(prog: Program) -> Program:
 
     The rewrite is total, deterministic, and idempotent.
     """
-    taken = {p.text for p in prog.predicates}
+    taken = {p.text for p in prog.predicates} | {q.predicate.text for q in prog.queries}
     rules = list(prog.rules)
     facts = list(prog.facts)
     next_rule_id = max((r.id for r in rules), default=-1) + 1

@@ -21,7 +21,6 @@ from .derivations import (
     collapse,
     instantiate_node,
     is_hereditarily_redundant,
-    is_redundant,
     should_collapse,
 )
 from .graph import ExecutionGraph, base_step, inductive_step
@@ -106,14 +105,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         raise ValueError("program must be normalized before reasoning")
     facts = FactIndex(prog.facts)
     rules = sorted(prog.rules, key=lambda r: r.id)
-    # Collapsed stores can hide derivations that repeat facts below the
-    # surface of an OR alternative; the hereditary check is what keeps
-    # collapsed reasoning terminating in the same round as plain reasoning.
-    redundant = (
-        is_redundant
-        if opts.collapse is CollapseMode.OFF
-        else is_hereditarily_redundant
-    )
     g = ExecutionGraph()
     stores: Dict[int, NodeStore] = {}
     stats = ReasonerStats()
@@ -160,7 +151,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                     else:
                         z = entries
                     for e in z:
-                        if not opts.redundancy_filter or not redundant(e):
+                        if not (opts.redundancy_filter and is_hereditarily_redundant(e)):
                             store.add(e)
                 rs.entries_stored += len(store.entries)
                 if not store.entries:

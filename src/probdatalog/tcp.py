@@ -127,8 +127,3 @@ def tcp_fixpoint(
             return inst
     raise TcpRoundLimitError(f"no fixpoint within {max_rounds} rounds")
 
-
-def formulas_equivalent(a: Dnf, b: Dnf) -> bool:
-    """Boolean equivalence of two lineage formulas.  Normalized monotone
-    DNFs are canonical, so it is equality of normal forms."""
-    return a == b

@@ -8,7 +8,7 @@ order.  Setting x true needs only cross absorption: a shortened clause
 c - {x} may swallow a clause that never held x.  Components take linear
 time: a sweep in mask order, and a search over bit positions if its runs
 overlap.  `brute_force_probability` enumerates possible worlds literally as
-the independent oracle; only the enumerators import numpy (about 14 MB).
+the independent oracle; only it imports numpy (about 14 MB).
 """
 
 from __future__ import annotations
@@ -18,12 +18,9 @@ from collections import Counter, OrderedDict
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from .lineage import Dnf
-
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
 
 DEFAULT_STEP_BUDGET = 2_000_000
 DEFAULT_MEMO_CAP = 1_000_000
@@ -192,31 +189,3 @@ def brute_force_probability(
         total += float(weight[sat].sum())
     return total
 
-
-def evaluate_all(d: Dnf, variables: List[int]) -> np.ndarray:
-    """Truth table of `d` over an explicit variable order (bit i = variables[i])."""
-    import numpy as np
-
-    n = len(variables)
-    if n > 26:
-        raise TooManyVariablesError(f"{n} variables is too many for a truth table")
-    extra = d.variables - set(variables)
-    if extra:
-        raise ValueError(f"formula mentions variables outside the order: {sorted(extra)}")
-    bit = {v: i for i, v in enumerate(variables)}
-    worlds = np.arange(1 << n, dtype=np.uint64)
-    sat = np.zeros(len(worlds), dtype=bool)
-    for c in d.clauses:
-        m = np.uint64(sum(1 << bit[v] for v in c))
-        sat |= (worlds & m) == m
-    return sat
-
-
-def truth_table_equal(a: Dnf, b: Dnf, max_vars: int = 20) -> bool:
-    """Exact Boolean-function equality by full truth-table comparison."""
-    variables = sorted(a.variables | b.variables)
-    if len(variables) > max_vars:
-        raise TooManyVariablesError(
-            f"{len(variables)} variables exceed the {max_vars} truth-table limit"
-        )
-    return bool((evaluate_all(a, variables) == evaluate_all(b, variables)).all())

@@ -1,15 +1,23 @@
-"""Independent brute-force oracles used to cross-check the engines.
+"""Independent brute-force oracles and reference definitions used to
+cross-check the engines.
 
-Everything here deliberately avoids the package's join/instantiation
-machinery: the least-model evaluator is a naive ground fixpoint with its
-own matcher, and explanations are enumerated over all fact subsets.
+The least-model evaluator is a naive ground fixpoint with its own matcher,
+and explanations are enumerated over all fact subsets; both avoid the
+package's join/instantiation machinery.  The rest are the literal
+definitions the package computes more cleverly: k-compatible parent tuples
+and the unpruned graph growth built on them, the unfoldings of a collapsed
+derivation, the paper's root-only redundancy rule, DNF conditioning, and
+truth tables.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Iterator, List
 
-from probdatalog import Atom, Dnf, Program
-from probdatalog.model import SymbolKind
+from probdatalog import Atom, Dnf, Program, TooManyVariablesError
+from probdatalog.derivations import DerivationEntry, Label, Leaf
+from probdatalog.graph import EgNode, ExecutionGraph
+from probdatalog.model import Rule, RuleKind, SymbolKind
 
 
 def _match(pattern: Atom, fact: Atom, binding: dict):
@@ -135,3 +143,144 @@ def exact_probability(clauses, weights) -> Fraction:
         )
 
     return worlds(0, frozenset(), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# Reference definitions
+# ---------------------------------------------------------------------------
+
+def k_compatible(g: ExecutionGraph, rule: Rule, k: int) -> List[tuple]:
+    """Parent tuples eligible to feed a fresh depth-k node for `rule`.
+
+    Per body position the head predicate must match, every parent must be
+    shallower than k, and at least one parent must sit at depth k - 1.
+    Tuples come out in lexicographic node-id order.
+    """
+    per_position: List[List[EgNode]] = []
+    for a in rule.body:
+        cands = [
+            n
+            for n in g.live_nodes()
+            if n.depth < k and n.rule.head.predicate is a.predicate
+        ]
+        if not cands:
+            return []
+        per_position.append(cands)
+    return [
+        tuple(n.id for n in combo)
+        for combo in product(*per_position)
+        if any(n.depth == k - 1 for n in combo)
+    ]
+
+
+def grow_unpruned(g: ExecutionGraph, rules, k: int) -> List[EgNode]:
+    """Extend `g` to depth k with a node for every k-compatible tuple of
+    every non-base rule, whether or not its parents' facts join."""
+    return [
+        g.add_node(r, parents)
+        for r in rules
+        if r.kind is RuleKind.NONBASE
+        for parents in k_compatible(g, r, k)
+    ]
+
+
+def has_or(x) -> bool:
+    """True iff an OR entry occurs in the DAG of `x` (cached per entry)."""
+    if isinstance(x, Leaf):
+        return False
+    cached = getattr(x, "_has_or", None)
+    if cached is None:
+        cached = x.label is Label.OR or any(has_or(c) for c in x.children)
+        x._has_or = cached
+    return cached
+
+
+def unfold(entry) -> Iterator:
+    """Plain-AND derivations encoded by an entry, lazily.
+
+    An entry without OR labels unfolds to itself; an OR entry to the
+    concatenation of its children's unfoldings; an AND entry above an OR
+    to the Cartesian product of its children's unfoldings, re-rooted under
+    the entry's own root fact.
+    """
+    if not has_or(entry):
+        yield entry
+        return
+    if entry.label is Label.OR:
+        for child in entry.children:
+            yield from unfold(child)
+        return
+    for combo in product(*(tuple(unfold(c)) for c in entry.children)):
+        yield DerivationEntry(entry.root, Label.AND, combo, entry.home)
+
+
+def root_only_redundant(entry: DerivationEntry) -> bool:
+    """The paper's rule: true iff every unfolding of `entry` repeats its
+    root fact internally.
+
+    avoid(x) decides whether some unfolding of subtree x is free of the
+    root fact, conjoining over AND children and disjoining over OR
+    alternatives, with memoization over the shared DAG.
+    """
+    target = entry.root
+    memo: dict = {}
+
+    def avoid(x) -> bool:
+        if isinstance(x, Leaf):
+            return True
+        cached = memo.get(id(x))
+        if cached is not None:
+            return cached
+        if x.root == target:
+            res = False
+        elif x.label is Label.AND:
+            res = all(avoid(c) for c in x.children)
+        else:
+            res = any(avoid(c) for c in x.children)
+        memo[id(x)] = res
+        return res
+
+    def root_clear(x: DerivationEntry) -> bool:
+        # Occurrence of the root fact AT the root is allowed; an OR entry
+        # is clear when some alternative is.
+        if x.label is Label.AND:
+            return all(avoid(c) for c in x.children)
+        return any(root_clear(c) for c in x.children)
+
+    return not root_clear(entry)
+
+
+def condition(d: Dnf, var: int, value: bool) -> Dnf:
+    """Restrict the formula by fixing one (positive) variable."""
+    if value:
+        return Dnf.from_clauses(c - {var} if var in c else c for c in d.clauses)
+    return Dnf(frozenset(c for c in d.clauses if var not in c))
+
+
+def evaluate_all(d: Dnf, variables: List[int]):
+    """Truth table of `d` over an explicit variable order (bit i = variables[i])."""
+    import numpy as np
+
+    n = len(variables)
+    if n > 26:
+        raise TooManyVariablesError(f"{n} variables is too many for a truth table")
+    extra = d.variables - set(variables)
+    if extra:
+        raise ValueError(f"formula mentions variables outside the order: {sorted(extra)}")
+    bit = {v: i for i, v in enumerate(variables)}
+    worlds = np.arange(1 << n, dtype=np.uint64)
+    sat = np.zeros(len(worlds), dtype=bool)
+    for c in d.clauses:
+        m = np.uint64(sum(1 << bit[v] for v in c))
+        sat |= (worlds & m) == m
+    return sat
+
+
+def truth_table_equal(a: Dnf, b: Dnf, max_vars: int = 20) -> bool:
+    """Exact Boolean-function equality by full truth-table comparison."""
+    variables = sorted(a.variables | b.variables)
+    if len(variables) > max_vars:
+        raise TooManyVariablesError(
+            f"{len(variables)} variables exceed the {max_vars} truth-table limit"
+        )
+    return bool((evaluate_all(a, variables) == evaluate_all(b, variables)).all())

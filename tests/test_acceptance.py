@@ -11,7 +11,7 @@ import time
 
 from conftest import RUNNING_EXAMPLE, collapse_example
 from corpus import random_tiny_program_text
-from oracles import atom_key, explanation_map
+from oracles import atom_key, explanation_map, truth_table_equal
 from probdatalog import (
     CollapseMode,
     Dnf,
@@ -29,7 +29,6 @@ from probdatalog import (
     tcp_fixpoint,
     tcp_initial,
     tcp_step,
-    truth_table_equal,
 )
 
 PASS = "[acceptance] criterion {}: PASS  {}"

@@ -264,6 +264,17 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "parse"
 
+    @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+    @pytest.mark.parametrize("flag", [(), ("--query", "zz(a)")], ids=["file", "flag"])
+    def test_query_on_a_predicate_only_the_query_names_exits_1(
+        self, capsys, tmp_path, command, flag
+    ):
+        path = tmp_path / "zz.pl"
+        path.write_text("query(zz(a)).\n0.5::e(a,b).\np(X,Y) :- e(X,Y).\n")
+        code, out = run_json(capsys, command, "--program", str(path), *flag)
+        assert code == 1
+        assert out["error"] == {"type": "parse", "message": "unknown predicate zz"}
+
     def test_invalid_engine_name_is_a_usage_error(self, running_file):
         with pytest.raises(SystemExit) as err:
             cli.main(

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import collapse_example
+from conftest import RUNNING_EXAMPLE, collapse_example
+from corpus import corpus
+from oracles import has_or, root_only_redundant, unfold
 from probdatalog import (
     CollapseMode,
     ReasonerOptions,
@@ -10,14 +12,14 @@ from probdatalog import (
     collapse,
     inductive_step,
     instantiate_node,
-    is_redundant,
+    is_hereditarily_redundant,
     normalize,
     parse_atom,
     parse_program,
+    reasoner,
     run_pcor,
     run_pr,
     should_collapse,
-    unfold,
 )
 from probdatalog.derivations import (
     DerivationEntry,
@@ -25,7 +27,6 @@ from probdatalog.derivations import (
     Label,
     Leaf,
     NodeStore,
-    is_hereditarily_redundant,
 )
 from probdatalog.model import atom
 
@@ -36,13 +37,16 @@ def run_rounds(prog, depth, filter_redundant=True):
     facts = FactIndex(prog.facts)
     stores = {}
     for k in range(1, depth + 1):
-        nodes = list(g.live_nodes()) if k == 1 else inductive_step(g, prog.rules, k)
+        if k == 1:
+            nodes = list(g.live_nodes())
+        else:
+            nodes = inductive_step(g, prog.rules, k, root_map(stores))
         for v in nodes:
             store = NodeStore(v.id)
             stores[v.id] = store
             for entries in instantiate_node(v, facts, stores).by_root.values():
                 for e in entries:
-                    if not filter_redundant or not is_redundant(e):
+                    if not filter_redundant or not is_hereditarily_redundant(e):
                         store.add(e)
             if not store.entries:
                 g.remove_node(v.id)
@@ -54,6 +58,19 @@ def tree_signature(x):
     if isinstance(x, Leaf):
         return ("leaf", x.var)
     return (str(x.root), x.label.value, tuple(tree_signature(c) for c in x.children))
+
+
+def root_map(stores):
+    return {v: store.by_root for v, store in stores.items()}
+
+
+def repeats_on_a_path(x, above=frozenset()) -> bool:
+    """True iff some root-to-leaf path of a plain tree repeats a fact."""
+    if isinstance(x, Leaf):
+        return False
+    if x.root in above:
+        return True
+    return any(repeats_on_a_path(c, above | {x.root}) for c in x.children)
 
 
 def count_atom(x, target) -> int:
@@ -77,7 +94,7 @@ class TestInstantiateNode:
 
     def test_depth_two_node_composes_parent_roots(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
-        (v2,) = inductive_step(g, running_prog.rules, 2)
+        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
         result = instantiate_node(v2, FactIndex(running_prog.facts), stores)
         # joins: (a,b)+(b,c), (a,c)+(c,b), (b,c)+(c,b), (c,b)+(b,c)
         assert {str(r) for r in result.by_root} == {
@@ -93,7 +110,7 @@ class TestInstantiateNode:
 
     def test_empty_parent_store_yields_nothing(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
-        (v2,) = inductive_step(g, running_prog.rules, 2)
+        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
         stores[0] = NodeStore(0)  # pretend the parent stored nothing
         result = instantiate_node(v2, FactIndex(running_prog.facts), stores)
         assert result.by_root == {}
@@ -113,18 +130,18 @@ class TestRedundancy:
     def test_depth_two_derivation_is_not_redundant(self, running_prog):
         _, stores = run_rounds(running_prog, 2)
         (entry,) = stores[1].by_root[parse_atom("p(a,b)")]
-        assert not is_redundant(entry)
+        assert not is_hereditarily_redundant(entry)
 
     def test_round_three_candidates_all_redundant(self, running_prog):
         g, stores = run_rounds(running_prog, 2)
         facts = FactIndex(running_prog.facts)
         candidates = []
-        for v in inductive_step(g, running_prog.rules, 3):
+        for v in inductive_step(g, running_prog.rules, 3, root_map(stores)):
             stores[v.id] = NodeStore(v.id)
             result = instantiate_node(v, facts, stores)
             candidates += [e for es in result.by_root.values() for e in es]
         assert candidates
-        assert all(is_redundant(e) for e in candidates)
+        assert all(is_hereditarily_redundant(e) for e in candidates)
         # cross-check against the materialized definition
         for e in candidates:
             trees = list(unfold(e))
@@ -139,12 +156,12 @@ class TestRedundancy:
             e
             for s in result.stores.values()
             for e in s.by_root.get(r_atom, ())
-            if e.has_or
+            if has_or(e)
         )
         trees = list(unfold(entry))
         assert any(count_atom(t, r_atom) > 1 for t in trees)
         assert any(count_atom(t, r_atom) == 1 for t in trees)
-        assert not is_redundant(entry)
+        assert not is_hereditarily_redundant(entry)
 
     def test_redundancy_matches_brute_force_on_random_dags(self):
         rng = random.Random(7)
@@ -170,8 +187,8 @@ class TestRedundancy:
             trees = list(unfold(e))
             if len(trees) > 1000:
                 continue
-            brute = all(count_atom(t, e.root) > 1 for t in trees)
-            assert is_redundant(e) == brute
+            brute = all(repeats_on_a_path(t) for t in trees)
+            assert is_hereditarily_redundant(e) == brute
 
     def test_hereditary_check_is_strictly_stronger(self):
         # both alternatives repeat some inner fact, neither repeats the root
@@ -185,12 +202,30 @@ class TestRedundancy:
         alt1, alt2 = chain(beta, gamma), chain(beta, delta)
         or_entry = collapse([alt1, alt2])
         top = DerivationEntry(alpha, Label.AND, (or_entry,), 0)
-        assert not is_redundant(top)
+        assert not root_only_redundant(top)
         assert is_hereditarily_redundant(top)
         # on entries whose unfoldings are path-distinct the notions agree
         clean = DerivationEntry(alpha, Label.AND, (Leaf(0), Leaf(1)), 0)
-        assert not is_redundant(clean)
+        assert not root_only_redundant(clean)
         assert not is_hereditarily_redundant(clean)
+
+    @pytest.mark.parametrize(
+        "text", [RUNNING_EXAMPLE, *corpus(40)], ids=["running", *map(str, range(40))]
+    )
+    def test_root_only_rule_agrees_on_plain_candidates(self, monkeypatch, text):
+        # the reason plain runs may use the hereditary check: on entries
+        # built from plain stores it gives the paper's root-only answer
+        checked = []
+
+        def both(e):
+            out = is_hereditarily_redundant(e)
+            assert root_only_redundant(e) == out
+            checked.append(out)
+            return out
+
+        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", both)
+        run_pr(normalize(parse_program(text)))
+        assert checked
 
 
 class TestCollapseUnfold:

@@ -1,6 +1,7 @@
 import pytest
 
 from corpus import corpus
+from oracles import grow_unpruned, k_compatible
 from probdatalog import (
     CollapseMode,
     ReasonerOptions,
@@ -8,7 +9,6 @@ from probdatalog import (
     chain_program,
     inductive_step,
     instantiate_node,
-    k_compatible,
     normalize,
     parse_program,
     powerlaw_program,
@@ -21,10 +21,16 @@ from probdatalog.graph import EgNode
 from probdatalog.model import Atom, RuleKind
 
 
+def running_roots(prog):
+    """Root facts per node of a plain run, as the reasoner passes them."""
+    return {v: store.by_root for v, store in run_pr(prog).stores.items()}
+
+
 def build_running_graph(prog, depth):
     g = base_step(prog.rules)
+    roots = running_roots(prog)
     for k in range(2, depth + 1):
-        inductive_step(g, prog.rules, k)
+        inductive_step(g, prog.rules, k, roots)
     return g
 
 
@@ -77,12 +83,12 @@ class TestKCompatible:
 class TestInductiveStep:
     def test_round_two_adds_one_node(self, running_prog):
         g = base_step(running_prog.rules)
-        added = inductive_step(g, running_prog.rules, 2)
+        added = inductive_step(g, running_prog.rules, 2, running_roots(running_prog))
         assert [(n.id, n.parents, n.depth) for n in added] == [(1, (0, 0), 2)]
 
     def test_round_three_adds_three_nodes(self, running_prog):
         g = build_running_graph(running_prog, 2)
-        added = inductive_step(g, running_prog.rules, 3)
+        added = inductive_step(g, running_prog.rules, 3, running_roots(running_prog))
         assert [(n.id, n.parents) for n in added] == [
             (2, (0, 1)),
             (3, (1, 0)),
@@ -94,7 +100,7 @@ class TestInductiveStep:
         g = base_step(running_prog.rules)
         before = len(g.nodes)
         # depth 3 needs a depth-2 parent, none exists yet
-        assert inductive_step(g, running_prog.rules, 3) == []
+        assert inductive_step(g, running_prog.rules, 3, running_roots(running_prog)) == []
         assert len(g.nodes) == before
         assert g.depth() == 1
 
@@ -211,7 +217,7 @@ class TestJoinDrivenGrowth:
             return added
 
         def unpruned_step(g, rules, k, roots):
-            return inductive_step(g, rules, k)
+            return grow_unpruned(g, rules, k)
 
         monkeypatch.setattr(reasoner, "inductive_step", checked_step)
         pruned = reason(prog, mode)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import collapse_example
 from corpus import corpus
-from oracles import atom_key, explanation_map
+from oracles import atom_key, condition, evaluate_all, explanation_map, truth_table_equal
 from probdatalog import (
     FALSE,
     TRUE,
@@ -24,7 +24,6 @@ from probdatalog import (
 )
 from probdatalog.derivations import DerivationEntry, Label, Leaf
 from probdatalog.model import Atom, atom, match_atom, variable
-from probdatalog.wmc import evaluate_all, truth_table_equal
 
 clauses_strategy = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=7), min_size=0, max_size=4),
@@ -55,8 +54,8 @@ class TestDnf:
         d = Dnf.from_clauses([[1, 2], [3]])
         assert d.evaluate({1, 2})
         assert not d.evaluate({1})
-        assert d.condition(3, True) == TRUE
-        assert d.condition(3, False) == Dnf.from_clauses([[1, 2]])
+        assert condition(d, 3, True) == TRUE
+        assert condition(d, 3, False) == Dnf.from_clauses([[1, 2]])
 
     def test_json_form_is_sorted(self):
         names = {0: "e(a,b)", 1: "e(a,c)", 2: "e(c,b)"}

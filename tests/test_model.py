@@ -26,7 +26,7 @@ from probdatalog.model import (
     substitute,
     variable,
 )
-from probdatalog.wmc import truth_table_equal
+from oracles import truth_table_equal
 
 
 class TestSymbols:
@@ -206,6 +206,13 @@ class TestNormalize:
         bridge = next(r for r in norm.rules if r.body[0].predicate.text == "t__f")
         assert bridge.head.predicate.text == "t"
         assert bridge.kind is RuleKind.BASE
+
+    def test_fresh_names_avoid_query_predicates(self):
+        text = "0.5::t(a).\n0.5::e(a,b).\nt(X) :- e(X,X).\nquery(t__f(X))."
+        prog = parse_program(text)
+        assert "t__f" not in {p.text for p in prog.predicates}
+        norm = normalize(prog)
+        assert [f.fact.predicate.text for f in norm.facts if f.var == 0] == ["t__f2"]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from probdatalog import (
     run_pcor,
     run_pr,
 )
+from oracles import has_or
 from probdatalog.lineage import Dnf
 from probdatalog.model import RuleKind
 
@@ -76,7 +77,7 @@ class TestRunPcor:
             s for s in result.stores.values() if t_atom in s.by_root
         )
         assert len(t_node.by_root[t_atom]) == 1
-        assert t_node.by_root[t_atom][0].has_or
+        assert has_or(t_node.by_root[t_atom][0])
         r_node = next(
             s
             for s in result.stores.values()
