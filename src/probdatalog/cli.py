@@ -66,7 +66,7 @@ def _load(args) -> tuple:
     try:
         with open(args.program, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError("io", f"cannot read {args.program}: {e}", EXIT_PARSE)
     try:
         prog = normalize(parse_program(text))

@@ -221,6 +221,7 @@ def parse_program(text: str) -> Program:
     rules: list[Rule] = []
     facts: list[ProbFact] = []
     queries: list[Atom] = []
+    fact_lines: dict[Atom, int] = {}  # one variable, one probability per fact
     aux_count = 0
 
     for c in clauses:
@@ -238,6 +239,9 @@ def parse_program(text: str) -> Program:
                 raise ParseError(
                     f"fact {c.head} is not ground", c.line, c.col
                 )
+            first = fact_lines.setdefault(c.head, c.line)
+            if first != c.line:
+                raise ParseError(f"fact {c.head} is already given on line {first}", c.line, c.col)
             prob = 1.0 if c.prob is None else c.prob
             facts.append(ProbFact(c.head, prob, len(facts)))
             continue

@@ -2,13 +2,15 @@
 
 `probability` is a knowledge-compilation style solver: it conditions away
 certain variables, splits variable-disjoint components, and otherwise
-Shannon-expands on the most frequent variable, memoizing residual clause
-sets.  A clause is an int bitmask over the variables renumbered in id
-order.  Setting x true needs only cross absorption: a shortened clause
-c - {x} may swallow a clause that never held x.  Components take linear
-time: a sweep in mask order, and a search over bit positions if its runs
-overlap.  `brute_force_probability` enumerates possible worlds literally as
-the independent oracle; only it imports numpy (about 14 MB).
+Shannon-expands on the most frequent variable, memoizing residual
+formulas.  A clause is an int bitmask over the variables renumbered in id
+order, and a residual formula is the ascending tuple of its distinct
+masks, so the tuple is its own memo key.  Setting x true needs only cross
+absorption: a shortened clause c - {x} may swallow a clause that never
+held x.  Components come from a sweep in mask order, or, if its runs
+overlap, from closures grown from the smallest clause left.  The memo is
+released on return.  `brute_force_probability` enumerates possible worlds
+literally as the independent oracle; only it imports numpy (about 14 MB).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import Counter, OrderedDict
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from .lineage import Dnf
 
@@ -56,37 +58,30 @@ class _Bits(dict):  # clause mask -> its bit positions, ascending, filled on loo
         return bits
 
 
-def _components(clauses: FrozenSet[int], bits: _Bits) -> List[List[int]]:
-    """Variable-disjoint groups of clause masks: runs of clauses in ascending
-    order that touch their run so far, joined by a search over bits if any overlap."""
-    ordered = sorted(clauses)
-    starts, reach, cur = [0], [], ordered[0]
-    for i, m in enumerate(ordered):
+def _components(clauses: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """Variable-disjoint groups of ascending clause masks: runs of clauses
+    that touch their run so far, or, if runs overlap, closures grown from the
+    smallest clause left.  Groups come in order of their smallest mask."""
+    starts, reach, cur = [0], [], clauses[0]
+    for i, m in enumerate(clauses):
         if not m & cur:
             starts.append(i)
             reach.append(cur)
             cur = 0
         cur |= m
     reach.append(cur)
-    if (rest := reduce(or_, reach)) == sum(reach):  # the runs share no bit
-        return [ordered[a:b] for a, b in zip(starts, starts[1:] + [None])]
-    adj: Dict[int, int] = {}
-    for m in ordered:
-        for p in bits[m]:
-            adj[p] = adj.get(p, 0) | m
-    comp: Dict[int, int] = {}
+    if reduce(or_, reach) == sum(reach):  # the runs share no bit
+        return [clauses[a:b] for a, b in zip(starts, starts[1:] + [None])]
+    groups, rest = [], clauses
     while rest:
-        frontier = seen = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            comp[low] = rest
-            new = adj[low.bit_length() - 1] & ~seen
-            seen, frontier = seen | new, frontier ^ low | new
-        rest &= ~seen
-    groups: Dict[int, List[int]] = {}
-    for m in ordered:
-        groups.setdefault(comp[m & -m], []).append(m)
-    return list(groups.values())
+        cur, grown = 0, rest[0]
+        while grown != cur:
+            cur = grown
+            group = [m for m in rest if m & cur]
+            grown = reduce(or_, group)
+        groups.append(tuple(group))
+        rest = [m for m in rest if not m & cur]
+    return groups
 
 
 def probability(
@@ -100,14 +95,14 @@ def probability(
     bit = {v: 1 << i for i, v in enumerate(sorted(d.variables))}
     w = {bit[v]: weights[v] for v in d.variables}
     bits = _Bits()
-    memo: OrderedDict[FrozenSet[int], float] = OrderedDict()
+    memo: OrderedDict[Tuple[int, ...], float] = OrderedDict()
     steps = 0
 
-    def pr(clauses: FrozenSet[int]) -> float:
+    def pr(clauses: Tuple[int, ...]) -> float:  # distinct masks, ascending
         nonlocal steps
         if not clauses:
             return 0.0
-        if 0 in clauses:
+        if clauses[0] == 0:
             return 1.0
         cached = memo.get(clauses)
         if cached is not None:
@@ -117,36 +112,39 @@ def probability(
         if steps > max_steps:
             raise WmcBudgetError(f"wmc budget exceeded ({max_steps} expansions)")
 
-        comps = _components(clauses, bits) if len(clauses) > 1 else ()
+        comps = _components(clauses) if len(clauses) > 1 else ()
         if len(comps) > 1:
             # 1 - prod(1 - p) in log space keeps relative accuracy for small p
-            ps = [pr(frozenset(comp)) for comp in comps]
+            ps = [pr(comp) for comp in comps]
             out = 1.0 if max(ps) >= 1.0 else -math.expm1(sum(math.log1p(-p) for p in ps))
         else:
             if len(clauses) == 1:  # every count is 1, so branch on the lowest bit
-                b = (m := min(clauses)) & -m
-                true, without = frozenset([m ^ b]), []
+                b = (m := clauses[0]) & -m
+                true, without = (m ^ b,), ()
             else:
                 counts = Counter(chain.from_iterable(map(bits.__getitem__, clauses)))
                 top = max(counts.values())
-                b = 1 << min(p for p, n in counts.items() if n == top)
-                without = [m for m in clauses if not m & b]
-                shortened = [m ^ b for m in clauses if m & b]
+                b = 1 << min([p for p, n in counts.items() if n == top])
+                without = tuple([m for m in clauses if not m & b])
+                shortened = [m ^ b for m in clauses if m & b]  # still ascending
                 # only a shortened clause can swallow, and only an unshortened one
                 kept, union = without, reduce(or_, without, 0)
-                for r in (r for r in shortened if not r & ~union):
+                for r in [r for r in shortened if not r & ~union]:
                     kept = [u for u in kept if u & r != r]
-                true = frozenset(shortened).union(kept)
+                true = tuple(sorted(shortened + list(kept)))  # a merge of two runs
             if w[b] >= 1.0:
                 out = pr(true)
             else:
-                out = w[b] * pr(true) + (1.0 - w[b]) * pr(frozenset(without))
+                out = w[b] * pr(true) + (1.0 - w[b]) * pr(without)
         if len(memo) >= memo_cap:
             memo.popitem(last=False)
         memo[clauses] = out
         return out
 
-    return min(max(pr(frozenset(sum(bit[v] for v in c) for c in d.clauses)), 0.0), 1.0)
+    try:
+        return min(max(pr(tuple(sorted({sum(bit[v] for v in c) for c in d.clauses}))), 0.0), 1.0)
+    finally:
+        del pr  # pr refers to itself; breaking that cycle frees the memo now
 
 
 def brute_force_probability(

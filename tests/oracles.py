@@ -6,8 +6,8 @@ and explanations are enumerated over all fact subsets; both avoid the
 package's join/instantiation machinery.  The rest are the literal
 definitions the package computes more cleverly: k-compatible parent tuples
 and the unpruned graph growth built on them, the unfoldings of a collapsed
-derivation, the paper's root-only redundancy rule, DNF conditioning, and
-truth tables.
+derivation, the paper's root-only redundancy rule, DNF conditioning,
+truth tables, and the variable-disjoint components of a clause set.
 """
 
 from fractions import Fraction
@@ -284,3 +284,23 @@ def truth_table_equal(a: Dnf, b: Dnf, max_vars: int = 20) -> bool:
             f"{len(variables)} variables exceed the {max_vars} truth-table limit"
         )
     return bool((evaluate_all(a, variables) == evaluate_all(b, variables)).all())
+
+
+def mask_components(masks) -> List[tuple]:
+    """Variable-disjoint groups of clause bitmasks by union-find over bit
+    positions: groups in order of their smallest mask, ascending within."""
+    parent = {}
+
+    def find(p: int) -> int:
+        while parent.setdefault(p, p) != p:
+            p = parent[p]
+        return p
+
+    for m in masks:
+        positions = [p for p in range(m.bit_length()) if m >> p & 1]
+        for p in positions[1:]:
+            parent[find(p)] = find(positions[0])
+    groups = {}
+    for m in sorted(masks):
+        groups.setdefault(find(m.bit_length() - 1), []).append(m)
+    return [tuple(g) for g in groups.values()]

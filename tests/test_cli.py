@@ -169,6 +169,25 @@ class TestErrors:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+    @pytest.mark.parametrize(
+        "content, kind",
+        [
+            (b"\xff\xfe\x00", "io"),
+            (b"0.5::e(a,b).\n0.7::e(a,b).\np(X) :- e(X,Y).\n", "parse"),
+        ],
+        ids=["not-utf8", "repeated-fact"],
+    )
+    def test_unreadable_program_exits_1(self, capsys, tmp_path, command, content, kind):
+        path = tmp_path / "bad.pl"
+        path.write_bytes(content)
+        code, out = run_cli(
+            capsys, command, "--program", str(path), "--query", "p(a)", "--output", "json"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == kind
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_resource_limit_exits_2_with_stats(self, capsys, running_file):
         code, out = run_cli(
             capsys,

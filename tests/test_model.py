@@ -111,6 +111,14 @@ class TestParser:
         with pytest.raises(ParseError, match="ground"):
             parse_program("0.5::e(a,X).")
 
+    def test_repeated_fact_rejected(self):
+        # one fact is one variable with one probability
+        with pytest.raises(ParseError, match=r"e\(a,b\) is already given on line 1") as err:
+            parse_program("0.5::e(a,b).\n0.7::e(a,b).\np(X) :- e(X,Y).")
+        assert err.value.line == 2
+        with pytest.raises(ParseError, match="line 2"):
+            parse_program("e(a,b).\n0.5::e(a,b).\ne(b,a).")
+
     def test_unsafe_rule_rejected(self):
         with pytest.raises(ParseError, match="head variable"):
             parse_program("p(X,W) :- e(X,Y).")

@@ -1,12 +1,14 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpus import corpus
-from oracles import condition, exact_probability, truth_table_equal
+from oracles import condition, exact_probability, mask_components, truth_table_equal
 from probdatalog import (
     FALSE,
     TRUE,
@@ -22,6 +24,7 @@ from probdatalog import (
     probability,
     run_pr,
 )
+from probdatalog.wmc import _components
 
 clauses_strategy = st.lists(
     st.frozensets(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
@@ -224,6 +227,46 @@ class TestSearchTree:
         expected = float(1 - last_false - last_true)
         assert 0.1 < expected < 0.9
         assert abs(probability(d, w) - expected) <= 1e-12 * expected
+
+
+class TestKernel:
+    """The solver's clause-set kernel: the component split and the memory
+    its memo holds."""
+
+    @given(
+        st.lists(
+            st.frozensets(st.integers(min_value=0, max_value=9), min_size=1, max_size=3),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([{0}])  # a single clause
+    @example([{0}, {1, 2}, {3}])  # runs that share no bit
+    @example([{0}, {1}, {0, 1}])  # runs joined only by a later clause
+    @example([{0, 2}, {1}, {2, 3}, {4}, {1, 5}])  # overlapping runs, two groups
+    @settings(max_examples=300, deadline=None)
+    def test_components_match_union_find(self, clauses):
+        masks = tuple(sorted({sum(1 << v for v in c) for c in clauses}))
+        assert [tuple(g) for g in _components(masks)] == mask_components(masks)
+
+    def test_memo_is_compact_and_released_on_return(self):
+        d, weights = PINNED_DNFS["reliability 3x5"]()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            probability(d, weights)
+            _, peak = tracemalloc.get_traced_memory()
+            # The call leaves no reference cycle for the collector to find.
+            # A full collection also empties CPython's tuple free lists,
+            # which tracemalloc counts as live.
+            assert gc.collect() == 0
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak <= 4_000_000
+        assert after <= 100_000
 
 
 small_clauses = st.lists(
