@@ -3,6 +3,9 @@
 # The lineage stored after k rounds covers every derivation of depth <= k,
 # so its probability is a lower bound on the true answer probability that
 # grows monotonically and reaches the exact value at the final round.
+# A snapshot equals the reference engine's map after round k, so the table
+# lists the database facts too; each holds by its own variable, so its row
+# is its probability from round 1 on.
 # Bounds tighten whenever an extra explanation arrives at a deeper round,
 # so the showcase graph offers a direct edge, a two-hop detour, and a
 # three-hop detour between the same endpoints.
@@ -46,4 +49,5 @@ for atom in sorted(final, key=str):
 
 print()
 print("each row is nondecreasing; the last column is the exact probability;")
+print("an e(...) row is a database fact, constant from round 1 on;")
 print("p(a,b) collects its direct edge, then the 2-hop detour, then the 3-hop one")

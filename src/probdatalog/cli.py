@@ -152,7 +152,9 @@ def _answers(
     t0 = time.perf_counter()
     if engine in TCP_MODES:
         try:
-            inst = tcp_fixpoint(prog, TCP_MODES[engine], args.max_depth or 64)
+            inst = tcp_fixpoint(prog, TCP_MODES[engine], args.max_depth)
+        except ValueError as e:
+            raise CliError("usage", str(e), EXIT_PARSE)
         except TcpRoundLimitError as e:
             raise CliError("resource", str(e), EXIT_RESOURCE)
         reason_ms = _ms(t0)
@@ -194,24 +196,21 @@ def _answers(
         answers = _collect_answers(result, prog, queries)
         history = []
         if want_bounds:
+            # At depth 0 round 1 stored nothing, but its snapshot still holds
+            # the facts, so every answer gets a bound, as from the reference
+            # engine.
             memo: dict = {}
             history = [
-                round_bound_snapshot(result, k, memo) for k in range(1, result.rounds + 1)
+                round_bound_snapshot(result, k, memo)
+                for k in range(1, max(result.rounds, 1) + 1)
             ]
     lineage_ms = _ms(t0)
 
     bounds: Dict[Atom, List[float]] = {}
     if want_bounds:
-        # A graph snapshot covers derivations only; a database fact also
-        # holds by its own variable from the first round on.
-        own = {f.fact: Dnf.single(f.var) for f in prog.facts}
         for ans in answers:
             bounds[ans.fact] = [
-                _compute_probability(
-                    snap.get(ans.fact, FALSE) | own.get(ans.fact, FALSE),
-                    prog.weights,
-                    args.solver,
-                )
+                _compute_probability(snap.get(ans.fact, FALSE), prog.weights, args.solver)
                 for snap in history
             ]
 
@@ -260,8 +259,11 @@ def cmd_gen(args) -> tuple:
     except ValueError as e:
         raise CliError("usage", str(e), EXIT_PARSE)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError("io", f"cannot write {args.out}: {e}", EXIT_PARSE)
         return None, EXIT_OK
     return text, EXIT_OK
 

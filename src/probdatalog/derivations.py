@@ -1,9 +1,10 @@
 """Derivation storage with structure sharing, collapsing, and redundancy.
 
 A stored derivation is a DAG entry: an AND entry records one rule
-instantiation and points at one child per body atom (either a database
-fact leaf or an entry in a parent node's store); an OR entry merges
-several same-root entries into one alternative.  Entries are never
+instantiation and points at one child per body atom, an entry of the store
+that atom joined against; an OR entry merges several same-root entries
+into one alternative.  The database is the depth-0 store, whose one entry
+per fact is that fact's variable as a leaf.  Entries are never
 materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
 """
@@ -63,13 +64,15 @@ class NodeStore:
 
 
 class FactIndex:
-    """Database facts indexed by predicate, in lexicographic atom order."""
+    """The database as the depth-0 store: `by_root` maps each fact to its
+    one leaf, as a node store maps a root fact to its entries, and
+    `by_pred` lists the facts of each predicate in lexicographic order."""
 
     def __init__(self, facts: Iterable[ProbFact]):
-        self.var_of: Dict[Atom, int] = {}
+        self.by_root: Dict[Atom, List[Leaf]] = {}
         self.by_pred: Dict[object, List[Atom]] = {}
         for f in facts:
-            self.var_of[f.fact] = f.var
+            self.by_root[f.fact] = [Leaf(f.var)]
             self.by_pred.setdefault(f.fact.predicate, []).append(f.fact)
         for atoms in self.by_pred.values():
             atoms.sort(key=Atom.sort_key)
@@ -90,11 +93,11 @@ def instantiate_node(
 ) -> InstantiationResult:
     """Candidate derivations of one node, grouped by root fact.
 
-    For a base-rule node the body joins against the database facts and each
-    substitution yields one AND entry with leaf children.  Otherwise the
-    i-th body atom joins against the root facts of the i-th parent's store,
-    and each substitution yields one AND entry per element of the Cartesian
-    product of the parents' matching entry lists.
+    The i-th body atom joins against the root facts of a store: the
+    database's for a base-rule node, the i-th parent's otherwise.  Each
+    substitution yields one AND entry per element of the Cartesian product
+    of the matching entry lists, so a base-rule substitution yields exactly
+    one entry, with leaf children.
     """
     rule = node.rule
     out: Dict[Atom, List[DerivationEntry]] = {}
@@ -108,25 +111,15 @@ def instantiate_node(
             )
 
     if rule.kind is RuleKind.BASE:
+        sources = [facts] * len(rule.body)
         candidates = [facts.by_pred.get(a.predicate, []) for a in rule.body]
-        for subst, matched in join(rule.body, candidates):
-            result.substitutions += 1
-            root = substitute(rule.head, subst)
-            children = tuple(Leaf(facts.var_of[f]) for f in matched)
-            charge(1)
-            out.setdefault(root, []).append(
-                DerivationEntry(root, Label.AND, children, node.id)
-            )
-        return result
-
-    parent_stores = [stores[p] for p in node.parents]
-    candidates = [
-        sorted(ps.by_root.keys(), key=Atom.sort_key) for ps in parent_stores
-    ]
+    else:
+        sources = [stores[p] for p in node.parents]
+        candidates = [sorted(s.by_root, key=Atom.sort_key) for s in sources]
     for subst, matched in join(rule.body, candidates):
         result.substitutions += 1
         root = substitute(rule.head, subst)
-        entry_lists = [ps.by_root[f] for f, ps in zip(matched, parent_stores)]
+        entry_lists = [s.by_root[f] for f, s in zip(matched, sources)]
         bucket = out.setdefault(root, [])
         for combo in itertools.product(*entry_lists):
             charge(1)

@@ -20,13 +20,13 @@ _MAX_COMPONENT_NODES = 4
 _MAX_COMPONENT_EDGES = 4
 
 
-def powerlaw_program(nodes: int, seed: int, alpha: float = 2.5) -> str:
+def powerlaw_program(nodes: int, seed: int) -> str:
     """Reachability program over a random power-law graph.
 
-    Degrees follow a discrete Pareto tail, stubs are matched into at most
-    2 * nodes undirected edges (no self loops or duplicates), and every
-    undirected edge becomes a pair of directed facts with independent
-    random probabilities in (0, 1].
+    Degrees follow a discrete Pareto tail with alpha = 2.5, stubs are
+    matched into at most 2 * nodes undirected edges (no self loops or
+    duplicates), and every undirected edge becomes a pair of directed facts
+    with independent random probabilities in (0, 1].
 
     Connected components are capped at 4 nodes / 4 edges.  The cap is what
     keeps full materialization feasible: both directions of every edge are
@@ -38,7 +38,7 @@ def powerlaw_program(nodes: int, seed: int, alpha: float = 2.5) -> str:
         raise ValueError("powerlaw graphs need at least 2 nodes")
     rng = random.Random(seed)
     degrees = [
-        max(1, min(nodes - 1, int(rng.paretovariate(alpha)))) for _ in range(nodes)
+        max(1, min(nodes - 1, int(rng.paretovariate(2.5)))) for _ in range(nodes)
     ]
     stubs = [i for i, d in enumerate(degrees) for _ in range(d)]
     rng.shuffle(stubs)

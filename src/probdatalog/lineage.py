@@ -8,7 +8,9 @@ function exactly when they are equal.
 
 Hence an atom's lineage is built by gathering the clauses of all its stored
 entries, found through a root -> entries index made in one scan of the
-stores, and absorbing them once, not re-absorbing after every `or_`.
+stores, and absorbing them once, not re-absorbing after every `or_`.  The
+database is the depth-0 store, so a fact's lineage is its own variable by
+the same path, as in the reference engine's initial map.
 """
 
 from __future__ import annotations
@@ -214,9 +216,12 @@ class Answer:
 
 def _entries_by_root(
     result: "ReasoningResult", k: int
-) -> Dict[Atom, List[DerivationEntry]]:
-    """Stored entries of every atom derived in nodes no deeper than k."""
-    index: Dict[Atom, List[DerivationEntry]] = {}
+) -> Dict[Atom, List[DerivationEntry | Leaf]]:
+    """Stored entries of every atom held by the database, the depth-0
+    store, or by a node no deeper than k."""
+    index: Dict[Atom, List[DerivationEntry | Leaf]] = {
+        fact: list(leaves) for fact, leaves in result.facts.by_root.items()
+    }
     for node_id, store in result.stores.items():
         if result.graph.node(node_id).depth <= k:
             for root, entries in store.by_root.items():
@@ -229,12 +234,13 @@ def round_bound_snapshot(
     k: int,
     memo: Optional[Dict[int, Dnf]] = None,
 ) -> Dict[Atom, Dnf]:
-    """Lineage of every derived atom restricted to rounds <= k.
+    """Lineage of every atom restricted to rounds <= k: the reference
+    engine's map after round k, database facts included.
 
     A node of depth d is populated exactly in round d, so the snapshot is
-    the disjunction over stores of nodes no deeper than k.  Probabilities
-    of successive snapshots are nondecreasing and reach the exact value at
-    the final round.
+    the disjunction over the database and the stores of nodes no deeper
+    than k.  Probabilities of successive snapshots are nondecreasing and
+    reach the exact value at the final round.
     """
     if memo is None:
         memo = {}
@@ -252,9 +258,8 @@ def collect_lineage(
 ) -> List[Answer]:
     """Answers for `query` with their DNF lineage.
 
-    Ground instances of the query predicate present in the computed model
-    are enumerated; a database fact contributes its own variable alongside
-    any derivations of the same atom.
+    Ground instances of the query predicate present in the computed model,
+    database facts included, are enumerated.
     """
     if result.truncated:
         raise IncompleteReasoningError(
@@ -263,15 +268,10 @@ def collect_lineage(
     if query.predicate not in prog.predicates:
         raise UnknownPredicateError(f"unknown predicate {query.predicate.text}")
 
-    fact_var: Dict[Atom, int] = {f.fact: f.var for f in prog.facts}
     index = _entries_by_root(result, result.rounds)
     memo: Dict[int, Dnf] = {}
-    answers = []
-    for inst in sorted(fact_var.keys() | index.keys(), key=Atom.sort_key):
-        if match_atom(query, inst, {}) is None:
-            continue
-        dnfs = [phi(e, max_clauses, memo) for e in index.get(inst, ())]
-        if inst in fact_var:
-            dnfs.append(Dnf.single(fact_var[inst]))
-        answers.append(Answer(inst, _disjoin(dnfs, max_clauses)))
-    return answers
+    return [
+        Answer(inst, _disjoin((phi(e, max_clauses, memo) for e in index[inst]), max_clauses))
+        for inst in sorted(index, key=Atom.sort_key)
+        if match_atom(query, inst, {}) is not None
+    ]

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 
 class SymbolKind(Enum):
@@ -172,10 +172,6 @@ class Program:
     def var_names(self) -> dict[int, str]:
         return {f.var: str(f.fact) for f in self.facts}
 
-    @cached_property
-    def fact_atoms(self) -> frozenset[Atom]:
-        return frozenset(f.fact for f in self.facts)
-
     def is_normalized(self) -> bool:
         if self.fact_predicates & self.head_predicates:
             return False
@@ -305,8 +301,7 @@ def check_safety(head: Atom, body: Sequence[Atom]) -> Optional[Symbol]:
 # Rule-probability desugaring
 # ---------------------------------------------------------------------------
 
-def fresh_predicate_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
+def fresh_predicate_name(base: str, taken: Collection[str]) -> str:
     if base not in taken:
         return base
     for i in itertools.count(2):
@@ -320,7 +315,7 @@ def desugar_rule_probability(
     rule: Rule,
     prob: float,
     *,
-    taken_names: Iterable[str] = (),
+    taken_names: Collection[str] = (),
     aux_index: int = 0,
     var: int = 0,
 ) -> tuple[Rule, ProbFact]:

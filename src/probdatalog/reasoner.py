@@ -53,6 +53,10 @@ class ReasonerOptions:
             self.collapse = CollapseMode(self.collapse)
         if self.threshold < 2:
             raise ValueError("collapse threshold must be >= 2")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if self.max_entries is not None and self.max_entries < 0:
+            raise ValueError("max_entries must be >= 0")
         if not self.redundancy_filter and self.max_depth is None:
             raise ValueError("redundancy_filter=False requires max_depth")
 
@@ -60,8 +64,6 @@ class ReasonerOptions:
 @dataclass
 class RoundStats:
     round: int
-    nodes_added: int = 0
-    nodes_removed: int = 0
     entries_stored: int = 0
     or_entries: int = 0
     entries_allocated: int = 0
@@ -83,6 +85,7 @@ class ReasonerStats:
 @dataclass
 class ReasoningResult:
     graph: ExecutionGraph
+    facts: FactIndex  # the depth-0 store
     stores: Dict[int, NodeStore]
     rounds: int  # final graph depth
     truncated: bool
@@ -121,7 +124,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         else:
             roots = {v: store.by_root for v, store in stores.items()}
             new_nodes = inductive_step(g, rules, k, roots)
-        rs = RoundStats(round=k, nodes_added=len(new_nodes))
+        rs = RoundStats(round=k)
 
         try:
             for v in new_nodes:
@@ -156,7 +159,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 rs.entries_stored += len(store.entries)
                 if not store.entries:
                     g.remove_node(v.id)
-                    rs.nodes_removed += 1
                 if opts.max_entries is not None and allocated_total > opts.max_entries:
                     raise EntryBudgetError("entry budget exceeded")
         except EntryBudgetError:
@@ -176,6 +178,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
 
     return ReasoningResult(
         graph=g,
+        facts=facts,
         stores=stores,
         rounds=g.depth(),
         truncated=stop_reason != "fixpoint",

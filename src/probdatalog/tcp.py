@@ -15,7 +15,7 @@ the graph-based reasoner and is exposed through the CLI for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .lineage import FALSE, TRUE, Dnf
 from .model import Atom, Program, Symbol, join, substitute
@@ -112,14 +112,19 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
 
 
 def tcp_fixpoint(
-    prog: Program, mode: str = "naive", max_rounds: int = 64
+    prog: Program, mode: str = "naive", max_rounds: Optional[int] = None
 ) -> TcpInstance:
-    """Iterate rounds until no formula changes.
+    """Iterate rounds until no formula changes, at most `max_rounds` of
+    them (default 64).
 
     `round` names the round that detected the fixpoint, and `history` holds
     every round's formulas up to it, from which per-round probability
     bounds are read.
     """
+    if max_rounds is None:
+        max_rounds = 64
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     inst = tcp_initial(prog)
     for _ in range(max_rounds):
         inst = tcp_step(inst, prog, mode)

@@ -16,11 +16,11 @@ literally as the independent oracle; only it imports numpy (about 14 MB).
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .lineage import Dnf
 
@@ -88,14 +88,13 @@ def probability(
     d: Dnf,
     weights: Mapping[int, float],
     max_steps: int = DEFAULT_STEP_BUDGET,
-    memo_cap: int = DEFAULT_MEMO_CAP,
 ) -> float:
     """Exact Pr[d] when each variable is independently true with its weight."""
     _check_weights(d, weights)
     bit = {v: 1 << i for i, v in enumerate(sorted(d.variables))}
     w = {bit[v]: weights[v] for v in d.variables}
     bits = _Bits()
-    memo: OrderedDict[Tuple[int, ...], float] = OrderedDict()
+    memo: Dict[Tuple[int, ...], float] = {}  # stops growing at DEFAULT_MEMO_CAP
     steps = 0
 
     def pr(clauses: Tuple[int, ...]) -> float:  # distinct masks, ascending
@@ -106,7 +105,6 @@ def probability(
             return 1.0
         cached = memo.get(clauses)
         if cached is not None:
-            memo.move_to_end(clauses)
             return cached
         steps += 1
         if steps > max_steps:
@@ -136,9 +134,8 @@ def probability(
                 out = pr(true)
             else:
                 out = w[b] * pr(true) + (1.0 - w[b]) * pr(without)
-        if len(memo) >= memo_cap:
-            memo.popitem(last=False)
-        memo[clauses] = out
+        if len(memo) < DEFAULT_MEMO_CAP:
+            memo[clauses] = out
         return out
 
     try:

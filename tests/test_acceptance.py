@@ -131,12 +131,9 @@ def test_criterion_3_per_round_equivalence_with_reference_engine():
         for k in range(1, rounds + 1):
             inst = tcp_step(inst, prog)
             snapshot = round_bound_snapshot(unfiltered, k)
-            reference = {
-                a: f for a, f in inst.formulas.items() if a not in prog.fact_atoms
-            }
-            assert set(snapshot) == set(reference), (seed, k)
+            assert set(snapshot) == set(inst.formulas), (seed, k)
             for a, formula in snapshot.items():
-                assert truth_table_equal(formula, reference[a]), (seed, k, a)
+                assert truth_table_equal(formula, inst.formulas[a]), (seed, k, a)
         checked_programs += 1
     elapsed = time.perf_counter() - t0
     assert checked_programs >= 100
@@ -157,11 +154,7 @@ def engine_probabilities(prog):
         out[name] = {a: probability(f, prog.weights) for a, f in snap.items()}
     for name, mode in (("tcp", "naive"), ("delta-tcp", "delta")):
         inst = tcp_fixpoint(prog, mode)
-        out[name] = {
-            a: probability(f, prog.weights)
-            for a, f in inst.formulas.items()
-            if a not in prog.fact_atoms
-        }
+        out[name] = {a: probability(f, prog.weights) for a, f in inst.formulas.items()}
     return out
 
 
@@ -308,8 +301,7 @@ def test_criterion_9_minimal_explanation_conformance():
         expected = explanation_map(prog)
         result = run_pr(prog)
         snap = round_bound_snapshot(result, result.rounds)
-        fact_keys = {atom_key(f.fact) for f in prog.facts}
-        assert {atom_key(a) for a in snap} == set(expected) - fact_keys, seed
+        assert {atom_key(a) for a in snap} == set(expected), seed
         for a, formula in snap.items():
             assert truth_table_equal(formula, expected[atom_key(a)]), (seed, a)
             checked_atoms += 1

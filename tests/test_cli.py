@@ -188,6 +188,25 @@ class TestErrors:
         assert json.loads(out)["error"]["type"] == kind
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "run --max-depth 0",
+            "run --max-depth -3",
+            "run --max-entries -1",
+            "oracle --max-depth 0",
+            "oracle --max-depth -3",
+            "compare --max-depth 0",
+            "compare --max-entries -1",
+        ],
+    )
+    def test_limit_out_of_range_is_a_usage_error(self, capsys, running_file, argv):
+        command, *flags = argv.split()
+        code, out = run_json(capsys, command, "--program", running_file, *flags)
+        assert code == 1
+        assert out["error"]["type"] == "usage"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_resource_limit_exits_2_with_stats(self, capsys, running_file):
         code, out = run_cli(
             capsys,
@@ -365,6 +384,21 @@ class TestOracle:
             assert a["probability"] == pytest.approx(b["probability"], abs=1e-12)
         assert delta["stats"]["instantiations"] < naive["stats"]["instantiations"]
 
+    @pytest.mark.parametrize(
+        "rules", ["", "p(X) :- e(X,X).\n"], ids=["no-rules", "rule-never-fires"]
+    )
+    @pytest.mark.parametrize("engine", ["tcp", "delta-tcp"])
+    def test_bounds_when_no_rule_fires_match_run(self, capsys, tmp_path, rules, engine):
+        path = tmp_path / "facts.pl"
+        path.write_text("0.5::e(a,b).\n0.25::e(a,c).\n" + rules + "query(e(a,X)).\n")
+        _, run_report = run_json(capsys, "run", "--program", str(path), "--bounds")
+        code, oracle_report = run_json(
+            capsys, "oracle", "--program", str(path), "--bounds", "--engine", engine
+        )
+        assert code == 0
+        assert run_report["answers"] == oracle_report["answers"]
+        assert [a["bounds"] for a in run_report["answers"]] == [[0.5], [0.25]]
+
     def test_oracle_bounds_are_monotone(self, capsys, running_file):
         _, report = run_json(
             capsys,
@@ -407,6 +441,15 @@ class TestGen:
         )
         assert code == 0
         assert out.exists()
+
+    def test_unwritable_out_path_is_an_io_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "g.pl"
+        code, text = run_cli(
+            capsys, "gen", "--kind", "chain", "--nodes", "5", "--out", str(out)
+        )
+        assert code == 1
+        assert json.loads(text)["error"]["type"] == "io"
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_chain_end_to_end_probability_is_edge_product(self, capsys, tmp_path):
         out = tmp_path / "chain.pl"

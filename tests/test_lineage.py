@@ -21,6 +21,7 @@ from probdatalog import (
     round_bound_snapshot,
     run_pcor,
     run_pr,
+    tcp_initial,
 )
 from probdatalog.derivations import DerivationEntry, Label, Leaf
 from probdatalog.model import Atom, atom, match_atom, variable
@@ -196,6 +197,20 @@ class TestCollectLineage:
         (ans,) = collect_lineage(result, running_prog, parse_atom("e(a,b)"))
         assert ans.lineage == Dnf.single(0)
 
+    @pytest.mark.parametrize(
+        "rules", ["", "p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,Z), p(Z,Y).\n"],
+        ids=["no-rules", "reachability"],
+    )
+    def test_database_is_the_depth_zero_store(self, rules):
+        prog = normalize(parse_program("0.5::e(a,b).\n0.25::e(b,c).\n0.5::f(a).\n" + rules))
+        result = run_pr(prog)
+        assert round_bound_snapshot(result, 0) == tcp_initial(prog).formulas
+        answers = collect_lineage(result, prog, parse_atom("e(X,Y)"))
+        assert [(str(a.fact), a.lineage) for a in answers] == [
+            ("e(a,b)", Dnf.single(0)),
+            ("e(b,c)", Dnf.single(1)),
+        ]
+
     def test_unknown_predicate(self, running_prog):
         result = run_pr(running_prog)
         with pytest.raises(UnknownPredicateError):
@@ -272,8 +287,8 @@ def fold_collect(result, prog, query):
     return out
 
 
-def fold_snapshot(result, k):
-    out = {}
+def fold_snapshot(result, prog, k):
+    out = {f.fact: Dnf.single(f.var) for f in prog.facts}
     for node_id, store in result.stores.items():
         if result.graph.node(node_id).depth > k:
             continue
@@ -311,8 +326,8 @@ class TestOnePassAggregation:
             assert {a.fact: a.lineage for a in answers} == fold_collect(
                 result, prog, query
             )
-        for k in range(1, result.rounds + 2):
-            assert round_bound_snapshot(result, k) == fold_snapshot(result, k)
+        for k in range(result.rounds + 2):
+            assert round_bound_snapshot(result, k) == fold_snapshot(result, prog, k)
 
     def test_clause_cap_applies_to_the_absorbed_set(self):
         text = "0.5::a.\n" + "".join(f"0.5::b(c{i}).\n" for i in range(5))
