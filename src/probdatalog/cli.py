@@ -198,10 +198,10 @@ def _answers(
         if want_bounds:
             # At depth 0 round 1 stored nothing, but its snapshot still holds
             # the facts, so every answer gets a bound, as from the reference
-            # engine.
+            # engine.  Only the answers' entries are read.
             memo: dict = {}
             history = [
-                round_bound_snapshot(result, k, memo)
+                round_bound_snapshot(result, k, memo, {a.fact for a in answers})
                 for k in range(1, max(result.rounds, 1) + 1)
             ]
     lineage_ms = _ms(t0)

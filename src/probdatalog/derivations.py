@@ -7,6 +7,10 @@ into one alternative.  The database is the depth-0 store, whose one entry
 per fact is that fact's variable as a leaf.  Entries are never
 materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
+
+Neither a store after its round nor an entry's DAG ever changes, so a store
+keeps its sorted root facts and join indexes (`views`, dropped by `add`),
+and an entry its cone of facts, OR-freeness and own redundancy verdict.
 """
 
 from __future__ import annotations
@@ -54,10 +58,18 @@ class NodeStore:
     owner: int
     entries: List[DerivationEntry] = field(default_factory=list)
     by_root: Dict[Atom, List[DerivationEntry]] = field(default_factory=dict)
+    views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, entry: DerivationEntry) -> None:
         self.entries.append(entry)
         self.by_root.setdefault(entry.root, []).append(entry)
+        self.views.clear()
+
+    def roots(self) -> List[Atom]:
+        """The root facts in lexicographic order."""
+        if None not in self.views:
+            self.views[None] = sorted(self.by_root, key=Atom.sort_key)
+        return self.views[None]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,6 +81,7 @@ class FactIndex:
     `by_pred` lists the facts of each predicate in lexicographic order."""
 
     def __init__(self, facts: Iterable[ProbFact]):
+        self.views: dict = {}
         self.by_root: Dict[Atom, List[Leaf]] = {}
         self.by_pred: Dict[object, List[Atom]] = {}
         for f in facts:
@@ -115,8 +128,8 @@ def instantiate_node(
         candidates = [facts.by_pred.get(a.predicate, []) for a in rule.body]
     else:
         sources = [stores[p] for p in node.parents]
-        candidates = [sorted(s.by_root, key=Atom.sort_key) for s in sources]
-    for subst, matched in join(rule.body, candidates):
+        candidates = [s.roots() for s in sources]
+    for subst, matched in join(rule.body, candidates, [s.views for s in sources]):
         result.substitutions += 1
         root = substitute(rule.head, subst)
         entry_lists = [s.by_root[f] for f, s in zip(matched, sources)]
@@ -136,13 +149,16 @@ EMPTY: frozenset = frozenset()
 
 
 def _atom_cone(x: Child) -> frozenset[Atom]:
-    """Facts occurring anywhere in an entry's DAG (cached per entry)."""
+    """Facts occurring anywhere in an entry's DAG (cached, with `_or_free`)."""
     if isinstance(x, Leaf):
         return EMPTY
     cached = getattr(x, "_cone", None)
     if cached is None:
         cached = frozenset({x.root}).union(*(_atom_cone(c) for c in x.children))
         x._cone = cached
+        x._or_free = x.label is Label.AND and all(
+            getattr(c, "_or_free", True) for c in x.children
+        )
     return cached
 
 
@@ -159,28 +175,36 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
     alternatives that repeat some inner fact; the root-only rule never
     rejects derivations built on those, and collapsed reasoning would keep
     deriving them and lose termination parity with plain reasoning.
+
+    A subtree x is decided by the ancestors in its cone: with none, by its
+    own verdict, cached on the entry; with some and an OR-free DAG, it has
+    one unfolding, which repeats them; otherwise by a memoized walk.
     """
     memo: Dict[tuple, bool] = {}
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
         if isinstance(x, Leaf):
             return True
-        # Only ancestors inside x's cone can repeat below x, and the root
-        # has none, so it needs no cone.
-        key = (id(x), ancestors and ancestors & _atom_cone(x))
-        cached = memo.get(key)
+        relevant = ancestors and ancestors & _atom_cone(x)
+        if relevant and x._or_free:
+            return False
+        key = (id(x), relevant)
+        cached = memo.get(key) if relevant else getattr(x, "_verdict", None)
         if cached is not None:
             return cached
-        if x.root in ancestors:
+        if x.root in relevant:
             res = False
         elif x.label is Label.AND:
-            below = ancestors | {x.root}
+            below = relevant | {x.root}
             res = all(ok(c, below) for c in x.children)
         else:
             # OR alternatives share the entry's root; the unfolding keeps
             # exactly one of them, so ancestors are not extended here.
-            res = any(ok(c, ancestors) for c in x.children)
-        memo[key] = res
+            res = any(ok(c, relevant) for c in x.children)
+        if relevant:
+            memo[key] = res
+        else:
+            x._verdict = res
         return res
 
     return not ok(entry, EMPTY)

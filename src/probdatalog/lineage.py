@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional
 
 from .derivations import EMPTY, DerivationEntry, Label, Leaf
 from .model import Atom, Program, match_atom
@@ -148,9 +148,6 @@ class Dnf:
     def __and__(self, other: "Dnf") -> "Dnf":
         return self.and_(other)
 
-    def evaluate(self, true_vars: frozenset[int] | set[int]) -> bool:
-        return any(c <= true_vars for c in self.clauses)
-
     def sorted_clauses(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(c)) for c in self.clauses)
 
@@ -233,9 +230,11 @@ def round_bound_snapshot(
     result: "ReasoningResult",
     k: int,
     memo: Optional[Dict[int, Dnf]] = None,
+    atoms: Optional[Collection[Atom]] = None,
 ) -> Dict[Atom, Dnf]:
     """Lineage of every atom restricted to rounds <= k: the reference
-    engine's map after round k, database facts included.
+    engine's map after round k, database facts included; of `atoms` only,
+    if given.
 
     A node of depth d is populated exactly in round d, so the snapshot is
     the disjunction over the database and the stores of nodes no deeper
@@ -247,6 +246,7 @@ def round_bound_snapshot(
     return {
         root: _disjoin((phi(e, memo=memo) for e in entries), DEFAULT_CLAUSE_CAP)
         for root, entries in _entries_by_root(result, k).items()
+        if atoms is None or root in atoms
     }
 
 

@@ -6,8 +6,9 @@ and explanations are enumerated over all fact subsets; both avoid the
 package's join/instantiation machinery.  The rest are the literal
 definitions the package computes more cleverly: k-compatible parent tuples
 and the unpruned graph growth built on them, the unfoldings of a collapsed
-derivation, the paper's root-only redundancy rule, DNF conditioning,
-truth tables, and the variable-disjoint components of a clause set.
+derivation, the paper's root-only redundancy rule, DNF evaluation and
+conditioning, truth tables, and the variable-disjoint components of a
+clause set.
 """
 
 from fractions import Fraction
@@ -255,6 +256,11 @@ def condition(d: Dnf, var: int, value: bool) -> Dnf:
     if value:
         return Dnf.from_clauses(c - {var} if var in c else c for c in d.clauses)
     return Dnf(frozenset(c for c in d.clauses if var not in c))
+
+
+def evaluate(d: Dnf, true_vars) -> bool:
+    """Value of `d` in the world where exactly `true_vars` are true."""
+    return any(c <= true_vars for c in d.clauses)
 
 
 def evaluate_all(d: Dnf, variables: List[int]):

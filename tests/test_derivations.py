@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example
-from corpus import corpus
+from corpus import corpus, random_tiny_program_text
 from oracles import has_or, root_only_redundant, unfold
 from probdatalog import (
     CollapseMode,
@@ -28,7 +28,7 @@ from probdatalog.derivations import (
     Leaf,
     NodeStore,
 )
-from probdatalog.model import atom
+from probdatalog.model import atom, join
 
 
 def run_rounds(prog, depth, filter_redundant=True):
@@ -226,6 +226,119 @@ class TestRedundancy:
         monkeypatch.setattr(reasoner, "is_hereditarily_redundant", both)
         run_pr(normalize(parse_program(text)))
         assert checked
+
+
+def redundant_by_unfolding(e) -> bool:
+    """The definition, materialized: every unfolding repeats a fact."""
+    return all(repeats_on_a_path(t) for t in unfold(e))
+
+
+def cone(x) -> set:
+    if isinstance(x, Leaf):
+        return set()
+    return {x.root}.union(*(cone(c) for c in x.children))
+
+
+def reaches_the_walk(e) -> bool:
+    """True iff checking `e` meets a child whose DAG has an OR entry and
+    whose cone holds e's root: neither a cached verdict nor the OR-free
+    rule decides that child, so the memoized walk runs."""
+    return e.label is Label.AND and any(
+        has_or(c) and e.root in cone(c) for c in e.children
+    )
+
+
+class TestRedundancyCases:
+    """`is_hereditarily_redundant` decides a subtree by a verdict cached on
+    the entry, by the OR-free rule, or by a memoized walk; each must give
+    the answer of the definition."""
+
+    PROGRAMS = [RUNNING_EXAMPLE, collapse_example(4), *corpus(40)] + [
+        random_tiny_program_text(seed) for seed in range(40)
+    ]
+
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_every_candidate_verdict_matches_its_unfoldings(self, monkeypatch, mode):
+        checked, walked = [], []
+
+        def against_definition(e):
+            out = is_hereditarily_redundant(e)
+            assert out == redundant_by_unfolding(e), (str(e.root), mode)
+            checked.append(out)
+            walked.append(reaches_the_walk(e))
+            return out
+
+        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", against_definition)
+        opts = ReasonerOptions(collapse=CollapseMode(mode))
+        for text in self.PROGRAMS:
+            prog = normalize(parse_program(text))
+            # twice in one process: a verdict cached in one run is never
+            # read by the next, whose entries are all fresh
+            first, second = (reasoner._run(prog, opts) for _ in range(2))
+            assert first.live_store_sizes() == second.live_store_sizes()
+        assert any(checked) and not all(checked)
+        if mode == "on":
+            assert any(walked)
+
+    def test_or_entry_seen_under_two_ancestor_sets(self):
+        # the same OR entry is clean below one ancestor and not below another
+        b, c, d, top1, top2 = atom("b"), atom("c"), atom("d"), atom("t1"), atom("t2")
+        c_leaf = DerivationEntry(c, Label.AND, (Leaf(0),), 0)
+        d_leaf = DerivationEntry(d, Label.AND, (Leaf(1),), 0)
+        or_b = collapse([
+            DerivationEntry(b, Label.AND, (c_leaf,), 0),
+            DerivationEntry(b, Label.AND, (d_leaf,), 0),
+        ])
+        via_c = DerivationEntry(c, Label.AND, (or_b,), 0)
+        via_cd = DerivationEntry(top1, Label.AND, (
+            DerivationEntry(d, Label.AND, (via_c,), 0),
+        ), 0)
+        assert not is_hereditarily_redundant(or_b)
+        assert not is_hereditarily_redundant(via_c)  # keeps the d branch
+        assert is_hereditarily_redundant(via_cd)  # c and d both repeat
+        plain = DerivationEntry(top2, Label.AND, (
+            DerivationEntry(c, Label.AND, (or_b.children[0],), 0),
+        ), 0)
+        assert is_hereditarily_redundant(plain)  # one unfolding, c repeats
+        for e in (or_b, via_c, via_cd, plain):
+            assert is_hereditarily_redundant(e) == redundant_by_unfolding(e)
+
+
+class TestStoreViews:
+    def test_add_shows_in_the_next_roots(self):
+        store = NodeStore(0)
+        store.add(DerivationEntry(atom("p", "b"), Label.AND, (Leaf(0),), 0))
+        assert store.roots() == [atom("p", "b")]
+        store.add(DerivationEntry(atom("p", "a"), Label.AND, (Leaf(1),), 0))
+        assert store.roots() == [atom("p", "a"), atom("p", "b")]
+
+    def test_add_shows_in_the_next_join_index(self):
+        store = NodeStore(0)
+        body = (atom("q", "X"), atom("p", "X", "Y"))
+        q = [atom("q", "a"), atom("q", "b")]
+
+        def joined():
+            found = join(body, [q, store.roots()], [{}, store.views])
+            return [str(chosen[1]) for _, chosen in found]
+
+        store.add(DerivationEntry(atom("p", "b", "c"), Label.AND, (Leaf(0),), 0))
+        assert joined() == ["p(b,c)"]
+        assert store.views  # the index of position 1 is kept
+        store.add(DerivationEntry(atom("p", "a", "c"), Label.AND, (Leaf(1),), 0))
+        assert joined() == ["p(a,c)", "p(b,c)"]
+
+    def test_instantiation_reuses_a_parent_index(self, running_prog):
+        g, stores = run_rounds(running_prog, 1)
+        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
+        facts = FactIndex(running_prog.facts)
+        first = instantiate_node(v2, facts, stores).by_root
+        views = dict(stores[0].views)
+        assert len(views) == 2  # the sorted roots and one join index
+        again = instantiate_node(v2, facts, stores).by_root
+        assert all(stores[0].views[k] is v for k, v in views.items())
+        assert [
+            (str(r), [e.children for e in es]) for r, es in first.items()
+        ] == [(str(r), [e.children for e in es]) for r, es in again.items()]
 
 
 class TestCollapseUnfold:

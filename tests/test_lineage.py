@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import collapse_example
 from corpus import corpus
-from oracles import atom_key, condition, evaluate_all, explanation_map, truth_table_equal
+from oracles import (
+    atom_key,
+    condition,
+    evaluate,
+    evaluate_all,
+    explanation_map,
+    truth_table_equal,
+)
 from probdatalog import (
     FALSE,
     TRUE,
@@ -53,8 +60,8 @@ class TestDnf:
 
     def test_evaluate_and_condition(self):
         d = Dnf.from_clauses([[1, 2], [3]])
-        assert d.evaluate({1, 2})
-        assert not d.evaluate({1})
+        assert evaluate(d, {1, 2})
+        assert not evaluate(d, {1})
         assert condition(d, 3, True) == TRUE
         assert condition(d, 3, False) == Dnf.from_clauses([[1, 2]])
 
@@ -79,7 +86,7 @@ class TestDnf:
         for m in range(1 << n):
             world = {v for v in variables if m >> pos[v] & 1}
             raw = any(set(c) <= world for c in clauses)
-            assert normalized.evaluate(world) == raw
+            assert evaluate(normalized, world) == raw
 
     @given(clauses_strategy, clauses_strategy)
     @settings(max_examples=150, deadline=None)

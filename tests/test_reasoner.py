@@ -189,6 +189,22 @@ class TestSnapshots:
         for ans in collect_lineage(result, running_prog, parse_atom("p(X,Y)")):
             assert snap[ans.fact] == ans.lineage
 
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_snapshot_of_some_atoms_is_the_full_one_restricted(self, mode):
+        # what `run --bounds` reads: the answers' entries, every round
+        run = run_pr if mode == "off" else run_pcor
+        for seed in range(40):
+            prog = normalize(parse_program(random_program_text(seed)))
+            result = run(prog, ReasonerOptions(collapse=CollapseMode(mode)))
+            wanted = {a.fact for a in collect_lineage(result, prog, parse_atom("p(a,X)"))}
+            wanted.add(parse_atom("p(z,z)"))  # in no store
+            memo: dict = {}
+            for k in range(1, result.rounds + 1):
+                full = round_bound_snapshot(result, k)
+                assert round_bound_snapshot(result, k, memo, wanted) == {
+                    a: d for a, d in full.items() if a in wanted
+                }
+
     def test_snapshot_probabilities_are_monotone(self):
         for seed in range(6):
             prog = normalize(parse_program(random_program_text(seed)))
