@@ -9,7 +9,6 @@ serves as an independent reference implementation.
 
 from .derivations import (
     DerivationEntry,
-    EntryBudgetError,
     FactIndex,
     Label,
     Leaf,
@@ -34,6 +33,7 @@ from .lineage import (
 )
 from .model import (
     Atom,
+    EntryBudgetError,
     ProbFact,
     Program,
     Rule,

@@ -8,9 +8,9 @@ per fact is that fact's variable as a leaf.  Entries are never
 materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
 
-Neither a store after its round nor an entry's DAG ever changes, so a store
-keeps its sorted root facts and join indexes (`views`, dropped by `add`),
-and an entry its cone of facts, OR-freeness and own redundancy verdict.
+Graph growth hands each node its groundings, so instantiation joins
+nothing.  An entry's DAG never changes, so an entry caches its cone of
+facts, OR-freeness and own redundancy verdict.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
-from .graph import EgNode
-from .model import Atom, ProbFact, RuleKind, join, substitute
+from .graph import EgNode, Grounding
+from .model import Atom, EntryBudgetError, ProbFact, RuleKind
 
 
 class Label(Enum):
@@ -47,10 +47,6 @@ class DerivationEntry:
 Child = Union[Leaf, DerivationEntry]
 
 
-class EntryBudgetError(RuntimeError):
-    """Raised when instantiation would exceed the entry allocation budget."""
-
-
 @dataclass
 class NodeStore:
     """Stored (non-redundant) derivations of one execution-graph node."""
@@ -58,18 +54,10 @@ class NodeStore:
     owner: int
     entries: List[DerivationEntry] = field(default_factory=list)
     by_root: Dict[Atom, List[DerivationEntry]] = field(default_factory=dict)
-    views: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, entry: DerivationEntry) -> None:
         self.entries.append(entry)
         self.by_root.setdefault(entry.root, []).append(entry)
-        self.views.clear()
-
-    def roots(self) -> List[Atom]:
-        """The root facts in lexicographic order."""
-        if None not in self.views:
-            self.views[None] = sorted(self.by_root, key=Atom.sort_key)
-        return self.views[None]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -81,7 +69,6 @@ class FactIndex:
     `by_pred` lists the facts of each predicate in lexicographic order."""
 
     def __init__(self, facts: Iterable[ProbFact]):
-        self.views: dict = {}
         self.by_root: Dict[Atom, List[Leaf]] = {}
         self.by_pred: Dict[object, List[Atom]] = {}
         for f in facts:
@@ -100,42 +87,35 @@ class InstantiationResult:
 
 def instantiate_node(
     node: EgNode,
+    groundings: Iterable[Grounding],
     facts: FactIndex,
     stores: Mapping[int, NodeStore],
-    budget: Optional[int] = None,
+    budget: float = float("inf"),
 ) -> InstantiationResult:
-    """Candidate derivations of one node, grouped by root fact.
+    """Candidate derivations of one node from its groundings, by root fact.
 
-    The i-th body atom joins against the root facts of a store: the
+    The i-th chosen fact of a grounding is a root fact of a store: the
     database's for a base-rule node, the i-th parent's otherwise.  Each
-    substitution yields one AND entry per element of the Cartesian product
-    of the matching entry lists, so a base-rule substitution yields exactly
+    grounding yields one AND entry per element of the Cartesian product of
+    the chosen facts' entry lists, so a base-rule grounding yields exactly
     one entry, with leaf children.
     """
-    rule = node.rule
     out: Dict[Atom, List[DerivationEntry]] = {}
     result = InstantiationResult(out)
-
-    def charge(n: int) -> None:
-        result.allocated += n
-        if budget is not None and result.allocated > budget:
-            raise EntryBudgetError(
-                f"entry budget exceeded while instantiating node {node.id}"
-            )
-
-    if rule.kind is RuleKind.BASE:
-        sources = [facts] * len(rule.body)
-        candidates = [facts.by_pred.get(a.predicate, []) for a in rule.body]
+    if node.rule.kind is RuleKind.BASE:
+        sources = [facts] * len(node.rule.body)
     else:
         sources = [stores[p] for p in node.parents]
-        candidates = [s.roots() for s in sources]
-    for subst, matched in join(rule.body, candidates, [s.views for s in sources]):
+    for root, chosen in groundings:
         result.substitutions += 1
-        root = substitute(rule.head, subst)
-        entry_lists = [s.by_root[f] for f, s in zip(matched, sources)]
+        entry_lists = [s.by_root[f] for f, s in zip(chosen, sources)]
         bucket = out.setdefault(root, [])
         for combo in itertools.product(*entry_lists):
-            charge(1)
+            result.allocated += 1
+            if result.allocated > budget:
+                raise EntryBudgetError(
+                    f"entry budget exceeded while instantiating node {node.id}"
+                )
             bucket.append(DerivationEntry(root, Label.AND, combo, node.id))
     return result
 

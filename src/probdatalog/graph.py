@@ -11,7 +11,9 @@ facts each stored node holds, and a depth-k node is created only for a
 parent tuple whose root facts ground the rule body at least once.  Those
 tuples come from a semi-naive hash join (`model.join`) over the root facts,
 so a node that could store nothing is never created, rather than created,
-instantiated and tombstoned.
+instantiated and tombstoned.  The join is the round's only one: each new
+node comes with its groundings, the head fact and the root fact chosen at
+each body position, which instantiation turns into entries.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
-from .model import Atom, Rule, RuleKind, Symbol, join
+from .model import Atom, EntryBudgetError, Rule, RuleKind, Symbol, join, substitute
+
+# The head fact and the root fact chosen at each body position.
+Grounding = tuple[Atom, tuple[Atom, ...]]
 
 
 @dataclass(eq=False)
@@ -77,13 +82,20 @@ def base_step(rules: Sequence[Rule]) -> ExecutionGraph:
     return g
 
 
+def groundings(rule: Rule, candidates: Sequence[Iterable[Atom]]) -> Iterator[Grounding]:
+    """The groundings of `rule`'s body against per-position candidate facts,
+    in the join's order."""
+    for subst, chosen in join(rule.body, candidates):
+        yield substitute(rule.head, subst), chosen
+
+
 _BELOW, _AT, _ANY = 0, 1, 2  # depth below k - 1, exactly k - 1, below k
 
 
 class _RootIndex:
     """Root fact -> ids of the live nodes below depth k that hold it, per
-    head predicate and depth class.  A view is built on first use and
-    shared by every rule of the round."""
+    head predicate and depth class.  A view is built on first use, with its
+    facts in lexicographic order, and shared by every rule of the round."""
 
     def __init__(
         self, g: ExecutionGraph, roots: Mapping[int, Iterable[Atom]], k: int
@@ -101,38 +113,42 @@ class _RootIndex:
         key = (pred, depth_class)
         view = self._views.get(key)
         if view is None:
-            view = self._views[key] = {}
+            view = {}
             for node_id, c, node_roots in self._holders.get(pred, ()):
                 if depth_class == _ANY or c == depth_class:
                     for a in node_roots:
                         view.setdefault(a, []).append(node_id)
+            view = self._views[key] = dict(
+                sorted(view.items(), key=lambda item: item[0].sort_key())
+            )
         return view
 
 
-def _joinable(rule: Rule, index: _RootIndex) -> List[tuple[int, ...]]:
-    """The parent tuples of a depth-k node for `rule` (head predicates
-    matching the body, every parent below depth k, some parent at k - 1)
-    whose root facts ground its body at least once, in lexicographic
-    node-id order.
+def _joinable(
+    rule: Rule, index: _RootIndex
+) -> Iterator[tuple[tuple[int, ...], Grounding]]:
+    """Each grounding of a depth-k node for `rule` (head predicates matching
+    the body, every parent below depth k, some parent at k - 1), with the
+    parent tuple whose root facts it chose.
 
     Semi-naive split: with position j drawn from depth k - 1, earlier
     positions from below k - 1 and later ones from below k, every tuple
-    with a parent at depth k - 1 is found for exactly one j.
+    with a parent at depth k - 1 is found for exactly one j.  So all
+    groundings of one tuple come from one join over sorted views, in the
+    lexicographic order of their chosen facts.
     """
-    n = len(rule.body)
-    found = set()
-    for j in range(n):
+    for j in range(len(rule.body)):
         split = [
             index.view(a.predicate, _BELOW if i < j else _AT if i == j else _ANY)
             for i, a in enumerate(rule.body)
         ]
         if not all(split):
             continue
-        for _, matched in join(rule.body, [s.keys() for s in split]):
-            found.update(itertools.product(*(
-                s[a] for s, a in zip(split, matched)
-            )))
-    return sorted(found)
+        for grounding in groundings(rule, split):
+            for parents in itertools.product(*(
+                s[a] for s, a in zip(split, grounding[1])
+            )):
+                yield parents, grounding
 
 
 def inductive_step(
@@ -140,8 +156,10 @@ def inductive_step(
     rules: Iterable[Rule],
     k: int,
     roots: Mapping[int, Iterable[Atom]],
-) -> List[EgNode]:
-    """Extend the graph to depth k; returns the freshly added nodes.
+    budget: float = float("inf"),
+) -> List[tuple[EgNode, List[Grounding]]]:
+    """Extend the graph to depth k; returns the freshly added nodes, each
+    with its groundings.
 
     `roots` holds the root facts of each live node's store by node id.  A
     fresh node is added per non-base rule and parent tuple whose parents'
@@ -151,16 +169,24 @@ def inductive_step(
     hash join per rule over an index of root facts to the nodes holding
     them, built once per round.
 
-    Existing nodes and edges are never altered, and tombstoned nodes are
-    never re-created since they are excluded from enumeration.
+    Each grounding allocates at least one entry when instantiated, so more
+    groundings than `budget` raise `EntryBudgetError` before any node is
+    added.  Existing nodes and edges are never altered, and tombstoned
+    nodes are never re-created since they are excluded from enumeration.
     """
     index = _RootIndex(g, roots, k)
-    added = []
+    found: List[tuple[Rule, tuple[int, ...], List[Grounding]]] = []
+    count = 0
     for r in rules:
         if r.kind is not RuleKind.NONBASE:
             continue
-        for parents in _joinable(r, index):
-            node = g.add_node(r, parents)
-            assert node.depth == k
-            added.append(node)
+        by_parents: Dict[tuple[int, ...], List[Grounding]] = {}
+        for parents, grounding in _joinable(r, index):
+            count += 1
+            if count > budget:
+                raise EntryBudgetError(f"entry budget exceeded while growing depth {k}")
+            by_parents.setdefault(parents, []).append(grounding)
+        found += [(r, p, gs) for p, gs in sorted(by_parents.items())]
+    added = [(g.add_node(r, parents), gs) for r, parents, gs in found]
+    assert all(node.depth == k for node, _ in added)
     return added

@@ -213,9 +213,12 @@ def match_atom(
     return out
 
 
+class EntryBudgetError(RuntimeError):
+    """Raised when reasoning would exceed its entry allocation budget."""
+
+
 def join(
-    body: Sequence[Atom], candidates: Sequence[Collection[Atom]],
-    caches: Optional[Sequence[dict]] = None,
+    body: Sequence[Atom], candidates: Sequence[Collection[Atom]]
 ) -> Iterator[tuple[Substitution, tuple[Atom, ...]]]:
     """Enumerate substitutions grounding `body` against per-position facts.
 
@@ -230,9 +233,6 @@ def join(
     dict lookup, whose bucket keeps the candidates' order, followed by
     `match_atom`, which still checks repeated variables.  A position with
     nothing bound iterates its candidates as they are.
-
-    `caches` may give per position a dict of the candidates' store that
-    keeps the index for later joins, under (predicate, arity, positions).
     """
     bound_at: list[tuple[int, ...]] = []
     seen: set[Symbol] = set()
@@ -251,19 +251,14 @@ def join(
         pattern = body[i]
         index = indexes[i]
         if index is None:
-            cache = {} if caches is None else caches[i]
-            view = (pattern.predicate, len(pattern.args), positions)
-            index = cache.get(view)
-            if index is None:
-                index = cache[view] = {}
-                for fact in candidates[i]:
-                    if (
-                        fact.predicate is pattern.predicate
-                        and len(fact.args) == len(pattern.args)
-                    ):
-                        key = tuple(fact.args[p] for p in positions)
-                        index.setdefault(key, []).append(fact)
-            indexes[i] = index
+            index = indexes[i] = {}
+            for fact in candidates[i]:
+                if (
+                    fact.predicate is pattern.predicate
+                    and len(fact.args) == len(pattern.args)
+                ):
+                    key = tuple(fact.args[p] for p in positions)
+                    index.setdefault(key, []).append(fact)
         args = pattern.args
         return index.get(tuple(subst.get(args[p], args[p]) for p in positions), ())
 

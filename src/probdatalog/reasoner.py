@@ -1,11 +1,11 @@
 """Round-based reasoning loops that populate an execution graph.
 
 Each round extends the graph by one depth level, with a node only for
-parents whose stored root facts join the rule body, computes the candidate
-derivations of every fresh node, optionally collapses same-root sets, keeps
-the non-redundant ones, and removes nodes that stored nothing.  The loop
-stops when the graph depth stops growing, i.e. when every fresh node of the
-round was removed.
+parents whose stored root facts join the rule body, turns the groundings
+that join found into the candidate derivations of every fresh node,
+optionally collapses same-root sets, keeps the non-redundant ones, and
+removes nodes that stored nothing.  The loop stops when the graph depth
+stops growing, i.e. when every fresh node of the round was removed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Dict, List, Optional
 
 from .derivations import (
-    EntryBudgetError,
     FactIndex,
     NodeStore,
     collapse,
@@ -23,8 +22,8 @@ from .derivations import (
     is_hereditarily_redundant,
     should_collapse,
 )
-from .graph import ExecutionGraph, base_step, inductive_step
-from .model import Program
+from .graph import ExecutionGraph, base_step, groundings, inductive_step
+from .model import EntryBudgetError, Program
 
 
 class CollapseMode(Enum):
@@ -39,8 +38,8 @@ class ReasonerOptions:
     threshold: int = 10
     max_depth: Optional[int] = None
     # Caps graph nodes as well as entries: growth is join-driven, so every
-    # non-base node of a completed round had a substitution, and each
-    # substitution allocated an entry.
+    # non-base node had a grounding, and each grounding allocates an entry.
+    # It also bounds the groundings the growth join keeps for a round.
     max_entries: Optional[int] = None
     # Disabling the redundancy filter turns the loop into the unfiltered
     # variant used to cross-check per-round lineage against the fixpoint
@@ -108,38 +107,36 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         raise ValueError("program must be normalized before reasoning")
     facts = FactIndex(prog.facts)
     rules = sorted(prog.rules, key=lambda r: r.id)
-    g = ExecutionGraph()
+    g = base_step(rules)
     stores: Dict[int, NodeStore] = {}
     stats = ReasonerStats()
     stop_reason = "fixpoint"
     allocated_total = 0
+    cap = float("inf") if opts.max_entries is None else opts.max_entries
     prev_depth = 0
     k = 0
 
     while True:
         k += 1
-        if k == 1:
-            g = base_step(rules)
-            new_nodes = list(g.nodes)
-        else:
-            roots = {v: store.by_root for v, store in stores.items()}
-            new_nodes = inductive_step(g, rules, k, roots)
         rs = RoundStats(round=k)
-
         try:
-            for v in new_nodes:
-                budget = (
-                    None
-                    if opts.max_entries is None
-                    else opts.max_entries - allocated_total
-                )
-                inst = instantiate_node(v, facts, stores, budget)
+            if k == 1:
+                grown = [
+                    (v, groundings(v.rule, [
+                        facts.by_pred.get(a.predicate, []) for a in v.rule.body
+                    ]))
+                    for v in g.nodes
+                ]
+            else:
+                roots = {v: store.by_root for v, store in stores.items()}
+                grown = inductive_step(g, rules, k, roots, cap - allocated_total)
+            for v, found in grown:
+                inst = instantiate_node(v, found, facts, stores, cap - allocated_total)
                 allocated_total += inst.allocated
                 rs.entries_allocated += inst.allocated
                 rs.instantiations += inst.substitutions
 
                 store = NodeStore(v.id)
-                stores[v.id] = store
                 collapsing = opts.collapse is CollapseMode.ON or (
                     opts.collapse is CollapseMode.AUTO
                     and inst.by_root
@@ -159,10 +156,10 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 rs.entries_stored += len(store.entries)
                 if not store.entries:
                     g.remove_node(v.id)
-                if opts.max_entries is not None and allocated_total > opts.max_entries:
+                if allocated_total > cap:
                     raise EntryBudgetError("entry budget exceeded")
+                stores[v.id] = store
         except EntryBudgetError:
-            stores.pop(v.id, None)
             stop_reason = "max_entries"
 
         stats.per_round.append(rs)

@@ -5,7 +5,8 @@ The least-model evaluator is a naive ground fixpoint with its own matcher,
 and explanations are enumerated over all fact subsets; both avoid the
 package's join/instantiation machinery.  The rest are the literal
 definitions the package computes more cleverly: k-compatible parent tuples
-and the unpruned graph growth built on them, the unfoldings of a collapsed
+and the unpruned graph growth built on them, the per-node join that grounds
+a node's body against its sources' root facts, the unfoldings of a collapsed
 derivation, the paper's root-only redundancy rule, DNF evaluation and
 conditioning, truth tables, and the variable-disjoint components of a
 clause set.
@@ -18,7 +19,7 @@ from typing import Iterator, List
 from probdatalog import Atom, Dnf, Program, TooManyVariablesError
 from probdatalog.derivations import DerivationEntry, Label, Leaf
 from probdatalog.graph import EgNode, ExecutionGraph
-from probdatalog.model import Rule, RuleKind, SymbolKind
+from probdatalog.model import Rule, RuleKind, SymbolKind, join, substitute
 
 
 def _match(pattern: Atom, fact: Atom, binding: dict):
@@ -182,6 +183,22 @@ def grow_unpruned(g: ExecutionGraph, rules, k: int) -> List[EgNode]:
         for r in rules
         if r.kind is RuleKind.NONBASE
         for parents in k_compatible(g, r, k)
+    ]
+
+
+def node_groundings(node: EgNode, facts, stores) -> List[tuple]:
+    """The groundings of one node, (head fact, chosen root facts), from its
+    own join: the i-th body atom against the sorted root facts of the
+    database for a base node, of the i-th parent's store otherwise."""
+    rule = node.rule
+    if rule.kind is RuleKind.BASE:
+        sources = [facts] * len(rule.body)
+    else:
+        sources = [stores[p] for p in node.parents]
+    candidates = [sorted(s.by_root, key=Atom.sort_key) for s in sources]
+    return [
+        (substitute(rule.head, subst), chosen)
+        for subst, chosen in join(rule.body, candidates)
     ]
 
 

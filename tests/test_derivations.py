@@ -2,12 +2,10 @@ import random
 
 import pytest
 
-from conftest import RUNNING_EXAMPLE, collapse_example
+from conftest import RUNNING_EXAMPLE, collapse_example, reason
 from corpus import corpus, random_tiny_program_text
 from oracles import has_or, root_only_redundant, unfold
 from probdatalog import (
-    CollapseMode,
-    ReasonerOptions,
     base_step,
     collapse,
     inductive_step,
@@ -17,7 +15,6 @@ from probdatalog import (
     parse_atom,
     parse_program,
     reasoner,
-    run_pcor,
     run_pr,
     should_collapse,
 )
@@ -28,7 +25,8 @@ from probdatalog.derivations import (
     Leaf,
     NodeStore,
 )
-from probdatalog.model import atom, join
+from probdatalog.graph import groundings
+from probdatalog.model import atom
 
 
 def run_rounds(prog, depth, filter_redundant=True):
@@ -38,19 +36,24 @@ def run_rounds(prog, depth, filter_redundant=True):
     stores = {}
     for k in range(1, depth + 1):
         if k == 1:
-            nodes = list(g.live_nodes())
+            grown = [(v, base_groundings(v, facts)) for v in g.live_nodes()]
         else:
-            nodes = inductive_step(g, prog.rules, k, root_map(stores))
-        for v in nodes:
+            grown = inductive_step(g, prog.rules, k, root_map(stores))
+        for v, found in grown:
             store = NodeStore(v.id)
             stores[v.id] = store
-            for entries in instantiate_node(v, facts, stores).by_root.values():
+            for entries in instantiate_node(v, found, facts, stores).by_root.values():
                 for e in entries:
                     if not filter_redundant or not is_hereditarily_redundant(e):
                         store.add(e)
             if not store.entries:
                 g.remove_node(v.id)
     return g, stores
+
+
+def base_groundings(v, facts):
+    """A base node's groundings, from its rule's join against the database."""
+    return groundings(v.rule, [facts.by_pred.get(a.predicate, []) for a in v.rule.body])
 
 
 def tree_signature(x):
@@ -83,7 +86,8 @@ class TestInstantiateNode:
     def test_base_node_joins_database_facts(self, running_prog):
         g = base_step(running_prog.rules)
         facts = FactIndex(running_prog.facts)
-        result = instantiate_node(g.node(0), facts, {})
+        v = g.node(0)
+        result = instantiate_node(v, base_groundings(v, facts), facts, {})
         roots = {str(r) for r in result.by_root}
         assert roots == {"p(a,b)", "p(b,c)", "p(a,c)", "p(c,b)"}
         assert all(
@@ -94,8 +98,8 @@ class TestInstantiateNode:
 
     def test_depth_two_node_composes_parent_roots(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
-        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
-        result = instantiate_node(v2, FactIndex(running_prog.facts), stores)
+        ((v2, found),) = inductive_step(g, running_prog.rules, 2, root_map(stores))
+        result = instantiate_node(v2, found, FactIndex(running_prog.facts), stores)
         # joins: (a,b)+(b,c), (a,c)+(c,b), (b,c)+(c,b), (c,b)+(b,c)
         assert {str(r) for r in result.by_root} == {
             "p(a,c)",
@@ -110,10 +114,9 @@ class TestInstantiateNode:
 
     def test_empty_parent_store_yields_nothing(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
-        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
         stores[0] = NodeStore(0)  # pretend the parent stored nothing
-        result = instantiate_node(v2, FactIndex(running_prog.facts), stores)
-        assert result.by_root == {}
+        assert inductive_step(g, running_prog.rules, 2, root_map(stores)) == []
+        assert len(g.nodes) == 1  # no node to instantiate
 
     def test_cartesian_product_over_parent_entries(self):
         prog = normalize(parse_program(collapse_example(3)))
@@ -136,9 +139,8 @@ class TestRedundancy:
         g, stores = run_rounds(running_prog, 2)
         facts = FactIndex(running_prog.facts)
         candidates = []
-        for v in inductive_step(g, running_prog.rules, 3, root_map(stores)):
-            stores[v.id] = NodeStore(v.id)
-            result = instantiate_node(v, facts, stores)
+        for v, found in inductive_step(g, running_prog.rules, 3, root_map(stores)):
+            result = instantiate_node(v, found, facts, stores)
             candidates += [e for es in result.by_root.values() for e in es]
         assert candidates
         assert all(is_hereditarily_redundant(e) for e in candidates)
@@ -150,7 +152,7 @@ class TestRedundancy:
     def test_collapsed_entry_with_one_clean_unfolding_is_kept(self):
         # one alternative repeats the root, the others do not
         prog = normalize(parse_program(collapse_example(4)))
-        result = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        result = reason(prog, "on")
         r_atom = parse_atom("r(a,b1)")
         entry = next(
             e
@@ -224,7 +226,7 @@ class TestRedundancy:
             return out
 
         monkeypatch.setattr(reasoner, "is_hereditarily_redundant", both)
-        run_pr(normalize(parse_program(text)))
+        reason(normalize(parse_program(text)))
         assert checked
 
 
@@ -269,12 +271,11 @@ class TestRedundancyCases:
             return out
 
         monkeypatch.setattr(reasoner, "is_hereditarily_redundant", against_definition)
-        opts = ReasonerOptions(collapse=CollapseMode(mode))
         for text in self.PROGRAMS:
             prog = normalize(parse_program(text))
             # twice in one process: a verdict cached in one run is never
             # read by the next, whose entries are all fresh
-            first, second = (reasoner._run(prog, opts) for _ in range(2))
+            first, second = (reason(prog, mode) for _ in range(2))
             assert first.live_store_sizes() == second.live_store_sizes()
         assert any(checked) and not all(checked)
         if mode == "on":
@@ -302,43 +303,6 @@ class TestRedundancyCases:
         assert is_hereditarily_redundant(plain)  # one unfolding, c repeats
         for e in (or_b, via_c, via_cd, plain):
             assert is_hereditarily_redundant(e) == redundant_by_unfolding(e)
-
-
-class TestStoreViews:
-    def test_add_shows_in_the_next_roots(self):
-        store = NodeStore(0)
-        store.add(DerivationEntry(atom("p", "b"), Label.AND, (Leaf(0),), 0))
-        assert store.roots() == [atom("p", "b")]
-        store.add(DerivationEntry(atom("p", "a"), Label.AND, (Leaf(1),), 0))
-        assert store.roots() == [atom("p", "a"), atom("p", "b")]
-
-    def test_add_shows_in_the_next_join_index(self):
-        store = NodeStore(0)
-        body = (atom("q", "X"), atom("p", "X", "Y"))
-        q = [atom("q", "a"), atom("q", "b")]
-
-        def joined():
-            found = join(body, [q, store.roots()], [{}, store.views])
-            return [str(chosen[1]) for _, chosen in found]
-
-        store.add(DerivationEntry(atom("p", "b", "c"), Label.AND, (Leaf(0),), 0))
-        assert joined() == ["p(b,c)"]
-        assert store.views  # the index of position 1 is kept
-        store.add(DerivationEntry(atom("p", "a", "c"), Label.AND, (Leaf(1),), 0))
-        assert joined() == ["p(a,c)", "p(b,c)"]
-
-    def test_instantiation_reuses_a_parent_index(self, running_prog):
-        g, stores = run_rounds(running_prog, 1)
-        (v2,) = inductive_step(g, running_prog.rules, 2, root_map(stores))
-        facts = FactIndex(running_prog.facts)
-        first = instantiate_node(v2, facts, stores).by_root
-        views = dict(stores[0].views)
-        assert len(views) == 2  # the sorted roots and one join index
-        again = instantiate_node(v2, facts, stores).by_root
-        assert all(stores[0].views[k] is v for k, v in views.items())
-        assert [
-            (str(r), [e.children for e in es]) for r, es in first.items()
-        ] == [(str(r), [e.children for e in es]) for r, es in again.items()]
 
 
 class TestCollapseUnfold:

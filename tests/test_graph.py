@@ -1,10 +1,10 @@
 import pytest
 
+from conftest import reason
 from corpus import corpus
-from oracles import grow_unpruned, k_compatible
+from oracles import grow_unpruned, k_compatible, node_groundings
 from probdatalog import (
     CollapseMode,
-    ReasonerOptions,
     base_step,
     chain_program,
     inductive_step,
@@ -13,7 +13,6 @@ from probdatalog import (
     parse_program,
     powerlaw_program,
     reasoner,
-    run_pcor,
     run_pr,
 )
 from probdatalog.derivations import FactIndex, NodeStore
@@ -84,17 +83,17 @@ class TestInductiveStep:
     def test_round_two_adds_one_node(self, running_prog):
         g = base_step(running_prog.rules)
         added = inductive_step(g, running_prog.rules, 2, running_roots(running_prog))
-        assert [(n.id, n.parents, n.depth) for n in added] == [(1, (0, 0), 2)]
+        assert [(n.id, n.parents, n.depth) for n, _ in added] == [(1, (0, 0), 2)]
 
     def test_round_three_adds_three_nodes(self, running_prog):
         g = build_running_graph(running_prog, 2)
         added = inductive_step(g, running_prog.rules, 3, running_roots(running_prog))
-        assert [(n.id, n.parents) for n in added] == [
+        assert [(n.id, n.parents) for n, _ in added] == [
             (2, (0, 1)),
             (3, (1, 0)),
             (4, (1, 1)),
         ]
-        assert all(n.depth == 3 for n in added)
+        assert all(n.depth == 3 for n, _ in added)
 
     def test_no_compatible_tuples_leaves_graph_unchanged(self, running_prog):
         g = base_step(running_prog.rules)
@@ -167,12 +166,6 @@ GROWTH_PROGRAMS = (
 )
 
 
-def reason(prog, mode):
-    if mode is CollapseMode.OFF:
-        return run_pr(prog)
-    return run_pcor(prog, ReasonerOptions(collapse=mode))
-
-
 def live_signature(result):
     return sorted(
         (
@@ -199,8 +192,11 @@ class TestJoinDrivenGrowth:
     ):
         prog = normalize(parse_program(text))
         facts = FactIndex(prog.facts)
+        # A run that fails to terminate fails here, before the reference
+        # checks below, whose cost per round grows with the nodes squared.
+        reason(prog, mode)
 
-        def checked_step(g, rules, k, roots):
+        def checked_step(g, rules, k, roots, budget):
             rules = list(rules)
             stores = {i: NodeStore(i, by_root=r) for i, r in roots.items()}
             expected = [
@@ -208,16 +204,18 @@ class TestJoinDrivenGrowth:
                 for r in rules
                 if r.kind is RuleKind.NONBASE
                 for parents in k_compatible(g, r, k)
-                if instantiate_node(
-                    EgNode(-1, r, k, parents), facts, stores
-                ).substitutions
+                if node_groundings(EgNode(-1, r, k, parents), facts, stores)
             ]
-            added = inductive_step(g, rules, k, roots)
-            assert [(n.rule.id, n.parents) for n in added] == expected, k
+            added = inductive_step(g, rules, k, roots, budget)
+            assert [(n.rule.id, n.parents) for n, _ in added] == expected, k
             return added
 
-        def unpruned_step(g, rules, k, roots):
-            return grow_unpruned(g, rules, k)
+        def unpruned_step(g, rules, k, roots, budget):
+            stores = {i: NodeStore(i, by_root=r) for i, r in roots.items()}
+            return [
+                (v, node_groundings(v, facts, stores))
+                for v in grow_unpruned(g, rules, k)
+            ]
 
         monkeypatch.setattr(reasoner, "inductive_step", checked_step)
         pruned = reason(prog, mode)
@@ -228,6 +226,25 @@ class TestJoinDrivenGrowth:
         assert pruned.stop_reason == unpruned.stop_reason
         assert live_signature(pruned) == live_signature(unpruned)
         assert len(pruned.graph.nodes) <= len(unpruned.graph.nodes)
+
+    @pytest.mark.parametrize("mode", list(CollapseMode))
+    @pytest.mark.parametrize("name,text", GROWTH_PROGRAMS, ids=[n for n, _ in GROWTH_PROGRAMS])
+    def test_each_node_gets_the_groundings_of_its_own_join(
+        self, monkeypatch, name, text, mode
+    ):
+        # the same head facts and chosen root facts, in the same order, as
+        # joining the node's body against its own sources' sorted root facts
+        checked = []
+
+        def checked_instantiate(node, groundings, facts, stores, budget):
+            groundings = list(groundings)
+            assert groundings == node_groundings(node, facts, stores), node.id
+            checked.append(node.id)
+            return instantiate_node(node, groundings, facts, stores, budget)
+
+        monkeypatch.setattr(reasoner, "instantiate_node", checked_instantiate)
+        result = reason(normalize(parse_program(text)), mode)
+        assert checked == [n.id for n in result.graph.nodes]  # base nodes too
 
     def test_chain_creates_only_live_nodes(self):
         result = run_pr(normalize(parse_program(chain_program(7, 0))))

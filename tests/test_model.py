@@ -304,24 +304,18 @@ def random_facts(rng, pattern, consts, count):
 
 def assert_same_join(body, candidates):
     """Same substitutions and chosen facts, in the same order, as the
-    reference, with the hash indexes built fresh, built into caches, and
-    read back from those caches; returns the substitutions."""
+    reference; returns the substitutions."""
     expected = nested_loop_join(body, candidates)
-    caches = [{} for _ in body]
-    for actual in (
-        list(join(body, candidates)),
-        list(join(body, candidates, caches)),
-        list(join(body, candidates, caches)),
-    ):
-        assert actual == expected, (body, candidates)
-        for (subst, chosen), (_, ref_chosen) in zip(actual, expected):
-            # the very candidate objects, each the body atom under subst
-            assert all(a is b for a, b in zip(chosen, ref_chosen))
-            assert chosen == tuple(substitute(a, subst) for a in body)
-        # dict equality ignores order; the binding order must match too
-        assert [list(s.items()) for s, _ in actual] == [
-            list(s.items()) for s, _ in expected
-        ]
+    actual = list(join(body, candidates))
+    assert actual == expected, (body, candidates)
+    for (subst, chosen), (_, ref_chosen) in zip(actual, expected):
+        # the very candidate objects, each the body atom under subst
+        assert all(a is b for a, b in zip(chosen, ref_chosen))
+        assert chosen == tuple(substitute(a, subst) for a in body)
+    # dict equality ignores order; the binding order must match too
+    assert [list(s.items()) for s, _ in actual] == [
+        list(s.items()) for s, _ in expected
+    ]
     return [s for s, _ in actual]
 
 
@@ -386,16 +380,6 @@ class TestJoin:
         assert [s[variable("X")].text for s in found] == ["a", "b"]
         assert assert_same_join((aux,), [[t, aux, aux]]) == [{}, {}]
         assert assert_same_join((aux, t), [[aux], []]) == []
-
-    def test_a_cached_index_is_read_not_rebuilt(self):
-        body = (atom("e", "X", "Y"), atom("e", "Y", "Z"))
-        facts = [parse_atom("e(a,b)"), parse_atom("e(b,c)")]
-        cache: dict = {}
-        assert len(list(join(body, [facts, facts], [{}, cache]))) == 1
-        (key,) = cache  # (predicate, arity, bound positions)
-        assert key == (predicate("e"), 2, (0,))
-        cache[key] = {}  # a stale index would hide e(b,c)
-        assert list(join(body, [facts, facts], [{}, cache])) == []
 
     def test_candidates_of_another_predicate_or_arity(self):
         body = (atom("e", "X", "Y"), atom("e", "Y", "Z"))

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import collapse_example
+from conftest import collapse_example, reason
 from corpus import random_program_text
 from probdatalog import (
     CollapseMode,
@@ -12,11 +12,13 @@ from probdatalog import (
     parse_atom,
     parse_program,
     probability,
+    reasoner,
     round_bound_snapshot,
     run_pcor,
     run_pr,
 )
 from oracles import has_or
+from probdatalog import graph
 from probdatalog.lineage import Dnf
 from probdatalog.model import RuleKind
 
@@ -70,7 +72,7 @@ class TestRunPr:
 class TestRunPcor:
     def test_collapse_on_stores_single_entries(self):
         prog = normalize(parse_program(collapse_example(50)))
-        result = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        result = reason(prog, "on")
         sizes = result.live_store_sizes()
         t_atom, r_atom = parse_atom("t(a)"), parse_atom("r(a,b1)")
         t_node = next(
@@ -95,7 +97,7 @@ class TestRunPcor:
 
     def test_auto_below_threshold_behaves_like_plain(self, running_prog):
         plain = run_pr(running_prog)
-        auto = run_pcor(running_prog, ReasonerOptions(collapse=CollapseMode.AUTO))
+        auto = reason(running_prog, "auto")
         assert plain.live_store_sizes() == auto.live_store_sizes()
         assert auto.stats.total("or_entries") == 0
         assert plain.stats.rounds_executed == auto.stats.rounds_executed
@@ -107,14 +109,14 @@ class TestRunPcor:
         lines += ["p(X,Y) :- e(X,Y).", "p(X,Y) :- p(X,Z), p(Z,Y)."]
         prog = normalize(parse_program("\n".join(lines)))
         plain = run_pr(prog)
-        collapsed = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        collapsed = reason(prog, "on")
         assert not plain.truncated and not collapsed.truncated
         assert plain.stats.rounds_executed == collapsed.stats.rounds_executed
 
     def test_collapsed_lineage_matches_plain(self):
         prog = normalize(parse_program(collapse_example(6)))
         plain = run_pr(prog)
-        collapsed = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        collapsed = reason(prog, "on")
         for query in ("r(X,Y)", "t(X)"):
             assert lineage_json(plain, prog, query) == lineage_json(
                 collapsed, prog, query
@@ -154,14 +156,45 @@ class TestResourceGuards:
         ids=["chain8"] + [f"corpus{seed}" for seed in range(40)],
     )
     def test_entry_budget_bounds_the_node_count(self, text):
-        # Every non-base node has a substitution, and each substitution
-        # allocates an entry, so max_entries caps the nodes created too.
+        # Every non-base node has a grounding, and each grounding allocates
+        # an entry, so max_entries caps the nodes created too.  On a
+        # truncated run the growth join's budget check keeps that so.
         prog = normalize(parse_program(text))
-        for result in (run_pr(prog), run_pcor(prog)):
-            nonbase = sum(
-                1 for n in result.graph.nodes if n.rule.kind is RuleKind.NONBASE
-            )
-            assert nonbase <= result.stats.total("entries_allocated")
+
+        def nonbase(result):
+            return sum(1 for n in result.graph.nodes if n.rule.kind is RuleKind.NONBASE)
+
+        for mode in CollapseMode:
+            for cap in (1, 5, 20, 100, 500):
+                opts = ReasonerOptions(collapse=mode, max_entries=cap)
+                assert nonbase(reasoner._run(prog, opts)) <= cap
+            result = reason(prog, mode)
+            assert nonbase(result) <= result.stats.total("entries_allocated")
+
+    def test_entry_budget_bounds_the_growth_join(self, monkeypatch):
+        # One q node would join 700 r facts with 700 s facts; the round's
+        # groundings are charged as the join yields them, so the run stops
+        # after 1,000 of the 490,000 instead of building them all.
+        n, left = 700, 1000
+        text = "\n".join(
+            [f"0.5::a(c{i}).\n0.5::b(c{i})." for i in range(n)]
+            + ["r(X) :- a(X).", "s(X) :- b(X).", "q(X,Y) :- r(X), s(Y)."]
+        )
+        yielded, groundings = 0, graph.groundings
+
+        def counted(rule, candidates):
+            nonlocal yielded
+            for found in groundings(rule, candidates):
+                yielded += 1
+                yield found
+
+        monkeypatch.setattr(graph, "groundings", counted)
+        prog = normalize(parse_program(text))
+        result = run_pr(prog, ReasonerOptions(max_entries=2 * n + left))
+        assert result.stop_reason == "max_entries"
+        assert result.stats.rounds_executed == 2
+        assert len(result.graph.nodes) == 2  # no node of the partial round
+        assert yielded <= left + 1
 
     def test_snapshots_survive_truncation(self, running_prog):
         result = run_pr(running_prog, ReasonerOptions(max_depth=1))
@@ -192,10 +225,9 @@ class TestSnapshots:
     @pytest.mark.parametrize("mode", ["off", "on", "auto"])
     def test_snapshot_of_some_atoms_is_the_full_one_restricted(self, mode):
         # what `run --bounds` reads: the answers' entries, every round
-        run = run_pr if mode == "off" else run_pcor
         for seed in range(40):
             prog = normalize(parse_program(random_program_text(seed)))
-            result = run(prog, ReasonerOptions(collapse=CollapseMode(mode)))
+            result = reason(prog, mode)
             wanted = {a.fact for a in collect_lineage(result, prog, parse_atom("p(a,X)"))}
             wanted.add(parse_atom("p(z,z)"))  # in no store
             memo: dict = {}
@@ -208,7 +240,7 @@ class TestSnapshots:
     def test_snapshot_probabilities_are_monotone(self):
         for seed in range(6):
             prog = normalize(parse_program(random_program_text(seed)))
-            result = run_pr(prog)
+            result = reason(prog)
             snaps = [
                 round_bound_snapshot(result, k)
                 for k in range(1, result.rounds + 1)
