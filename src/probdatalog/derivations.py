@@ -10,7 +10,9 @@ extraction walk the shared structure instead.
 
 Graph growth hands each node its groundings, so instantiation joins
 nothing.  An entry's DAG never changes, so an entry caches its cone of
-facts, OR-freeness and own redundancy verdict.
+facts, OR-freeness and own redundancy verdict, and a store whether all
+its entries are OR-free: on such stores instantiation rejects redundant
+candidates unbuilt, though `allocated` counts every candidate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .graph import EgNode, Grounding
 from .model import Atom, EntryBudgetError, ProbFact, RuleKind
@@ -40,7 +43,8 @@ class Leaf:
 class DerivationEntry:
     root: Atom
     label: Label
-    children: tuple["Child", ...]
+    # repr=False: a child's repr spells out its whole unfolded tree
+    children: tuple["Child", ...] = field(repr=False)
     home: int  # owning execution-graph node
 
 
@@ -58,6 +62,12 @@ class NodeStore:
     def add(self, entry: DerivationEntry) -> None:
         self.entries.append(entry)
         self.by_root.setdefault(entry.root, []).append(entry)
+
+    @cached_property
+    def or_free(self) -> bool:
+        """No entry has an OR entry in its DAG.  Pruning reads it once the
+        store is complete, and then each entry's cone, which this caches."""
+        return all([_atom_cone(e) and e._or_free for e in self.entries])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -91,6 +101,7 @@ def instantiate_node(
     facts: FactIndex,
     stores: Mapping[int, NodeStore],
     budget: float = float("inf"),
+    prune: bool = False,
 ) -> InstantiationResult:
     """Candidate derivations of one node from its groundings, by root fact.
 
@@ -99,6 +110,13 @@ def instantiate_node(
     grounding yields one AND entry per element of the Cartesian product of
     the chosen facts' entry lists, so a base-rule grounding yields exactly
     one entry, with leaf children.
+
+    With `prune`, for a caller that keeps only non-redundant candidates
+    and does not collapse this node, a non-base node on OR-free parent
+    stores builds only candidates whose root lies in no child's cone, with
+    their verdict cached: a stored plain child repeats no fact on any
+    path, so that is `is_hereditarily_redundant`.  `allocated` counts every
+    candidate, built or rejected, so pruning never moves a budget trip.
     """
     out: Dict[Atom, List[DerivationEntry]] = {}
     result = InstantiationResult(out)
@@ -106,6 +124,9 @@ def instantiate_node(
         sources = [facts] * len(node.rule.body)
     else:
         sources = [stores[p] for p in node.parents]
+    prune = prune and node.rule.kind is RuleKind.NONBASE and all(
+        s.or_free for s in sources
+    )
     for root, chosen in groundings:
         result.substitutions += 1
         entry_lists = [s.by_root[f] for f, s in zip(chosen, sources)]
@@ -116,7 +137,16 @@ def instantiate_node(
                 raise EntryBudgetError(
                     f"entry budget exceeded while instantiating node {node.id}"
                 )
-            bucket.append(DerivationEntry(root, Label.AND, combo, node.id))
+            if not prune:
+                bucket.append(DerivationEntry(root, Label.AND, combo, node.id))
+                continue
+            for c in combo:
+                if root in c._cone:
+                    break
+            else:
+                entry = DerivationEntry(root, Label.AND, combo, node.id)
+                entry._verdict = True  # no path repeats a fact
+                bucket.append(entry)
     return result
 
 
@@ -205,11 +235,15 @@ def collapse(trees: Sequence[DerivationEntry]) -> DerivationEntry:
 
 
 def should_collapse(
-    trees_by_root: Mapping[Atom, Sequence[DerivationEntry]], threshold: int
+    trees_by_root: Mapping[Atom, Sequence[DerivationEntry]],
+    threshold: int,
+    total: Optional[int] = None,
 ) -> bool:
     """Collapse a node's derivations when the average per-root count
-    reaches the threshold."""
+    reaches the threshold.  `total` counts them when the lists hold only
+    those that were built."""
     if not trees_by_root:
         raise ValueError("empty derivation map")
-    total = sum(len(v) for v in trees_by_root.values())
+    if total is None:
+        total = sum(len(v) for v in trees_by_root.values())
     return total / len(trees_by_root) >= threshold

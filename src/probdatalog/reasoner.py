@@ -38,7 +38,8 @@ class ReasonerOptions:
     threshold: int = 10
     max_depth: Optional[int] = None
     # Caps graph nodes as well as entries: growth is join-driven, so every
-    # non-base node had a grounding, and each grounding allocates an entry.
+    # non-base node had a grounding, and each grounding counts a candidate,
+    # built or not.
     # It also bounds the groundings the growth join keeps for a round.
     max_entries: Optional[int] = None
     # Disabling the redundancy filter turns the loop into the unfiltered
@@ -113,6 +114,8 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
     stop_reason = "fixpoint"
     allocated_total = 0
     cap = float("inf") if opts.max_entries is None else opts.max_entries
+    # only candidates kept apart are pruned, so `on` builds them all
+    prune = opts.redundancy_filter and opts.collapse is not CollapseMode.ON
     prev_depth = 0
     k = 0
 
@@ -131,17 +134,20 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 roots = {v: store.by_root for v, store in stores.items()}
                 grown = inductive_step(g, rules, k, roots, cap - allocated_total)
             for v, found in grown:
-                inst = instantiate_node(v, found, facts, stores, cap - allocated_total)
+                inst = instantiate_node(v, found, facts, stores, cap - allocated_total, prune)
+                collapsing = opts.collapse is CollapseMode.ON or (
+                    opts.collapse is CollapseMode.AUTO
+                    and inst.by_root
+                    and should_collapse(inst.by_root, opts.threshold, inst.allocated)
+                )
+                if collapsing and sum(map(len, inst.by_root.values())) < inst.allocated:
+                    # an OR entry keeps every candidate, so build the rejected too
+                    inst = instantiate_node(v, found, facts, stores, cap - allocated_total)
                 allocated_total += inst.allocated
                 rs.entries_allocated += inst.allocated
                 rs.instantiations += inst.substitutions
 
                 store = NodeStore(v.id)
-                collapsing = opts.collapse is CollapseMode.ON or (
-                    opts.collapse is CollapseMode.AUTO
-                    and inst.by_root
-                    and should_collapse(inst.by_root, opts.threshold)
-                )
                 for root, entries in inst.by_root.items():
                     if collapsing and len(entries) > 1:
                         z = [collapse(entries)]

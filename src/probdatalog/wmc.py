@@ -114,7 +114,7 @@ def probability(
         if len(comps) > 1:
             # 1 - prod(1 - p) in log space keeps relative accuracy for small p
             ps = [pr(comp) for comp in comps]
-            out = 1.0 if max(ps) >= 1.0 else -math.expm1(sum(math.log1p(-p) for p in ps))
+            out = 1.0 if max(ps) >= 1.0 else -math.expm1(math.fsum(math.log1p(-p) for p in ps))
         else:
             if len(clauses) == 1:  # every count is 1, so branch on the lowest bit
                 b = (m := clauses[0]) & -m

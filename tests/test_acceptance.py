@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from conftest import RUNNING_EXAMPLE, collapse_example
+from conftest import MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example
 from corpus import random_tiny_program_text
 from oracles import atom_key, explanation_map, truth_table_equal
 from probdatalog import (
@@ -36,6 +36,14 @@ PASS = "[acceptance] criterion {}: PASS  {}"
 
 def running_program():
     return normalize(parse_program(RUNNING_EXAMPLE))
+
+
+def at_fixpoint(result):
+    """`result`, once its run is known to have reached the fixpoint; the
+    assert names the stop reason alone, as a result's repr is too long."""
+    stop_reason = result.stop_reason
+    assert stop_reason == "fixpoint"
+    return result
 
 
 def test_criterion_1_running_example_end_to_end():
@@ -144,12 +152,14 @@ def test_criterion_3_per_round_equivalence_with_reference_engine():
 def engine_probabilities(prog):
     """Final answer probabilities from all five engines."""
     out = {}
-    for name, runner in (
-        ("pr", lambda: run_pr(prog)),
-        ("pcor-on", lambda: run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))),
-        ("pcor-auto", lambda: run_pcor(prog, ReasonerOptions(collapse=CollapseMode.AUTO))),
+    # over 10x the most a corpus program needs: 108 entries, 5 rounds
+    bounded = dict(max_entries=MAX_ENTRIES, max_depth=MAX_DEPTH)
+    for name, runner, mode in (
+        ("pr", run_pr, CollapseMode.OFF),
+        ("pcor-on", run_pcor, CollapseMode.ON),
+        ("pcor-auto", run_pcor, CollapseMode.AUTO),
     ):
-        result = runner()
+        result = at_fixpoint(runner(prog, ReasonerOptions(collapse=mode, **bounded)))
         snap = round_bound_snapshot(result, result.rounds)
         out[name] = {a: probability(f, prog.weights) for a, f in snap.items()}
     for name, mode in (("tcp", "naive"), ("delta-tcp", "delta")):
@@ -206,8 +216,10 @@ def test_criterion_6_collapsing_effectiveness():
     t0 = time.perf_counter()
     prog = normalize(parse_program(collapse_example(1000)))
     t_atom, r_atom = parse_atom("t(a)"), parse_atom("r(a,b1)")
+    # over 10x the most either run needs: 4,000 entries, 4 rounds
+    bounded = dict(max_entries=40_000, max_depth=40)
 
-    off = run_pr(prog)
+    off = at_fixpoint(run_pr(prog, ReasonerOptions(**bounded)))
     t_node_off = next(s for s in off.stores.values() if t_atom in s.by_root)
     assert len(t_node_off.by_root[t_atom]) == 1000
     r_node_off = next(
@@ -215,7 +227,7 @@ def test_criterion_6_collapsing_effectiveness():
     )
     assert len(r_node_off.by_root[r_atom]) == 999
 
-    on = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+    on = at_fixpoint(run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON, **bounded)))
     t_node_on = next(s for s in on.stores.values() if t_atom in s.by_root)
     assert len(t_node_on.by_root[t_atom]) == 1
     r_node_on = next(
@@ -244,18 +256,20 @@ def test_criterion_6_collapsing_effectiveness():
 def test_criterion_7_redundancy_and_termination():
     t0 = time.perf_counter()
     prog = running_program()
-    result = run_pr(prog)
+    # over 10x what the run needs: 20 entries, 3 rounds
+    result = at_fixpoint(run_pr(prog, ReasonerOptions(max_entries=200, max_depth=30)))
     assert result.stats.rounds_executed == 3
     assert {n.id for n in result.graph.nodes if n.removed} == {2, 3, 4}
 
+    # over 10x the most any of these runs needs: 16,812 entries, 6 rounds
     for nodes, seed in itertools.product(range(10, 21), range(10)):
         gen = normalize(parse_program(powerlaw_program(nodes, seed)))
         for runner in (
-            lambda: run_pr(gen, ReasonerOptions(max_depth=64, max_entries=5_000_000)),
+            lambda: run_pr(gen, ReasonerOptions(max_depth=64, max_entries=200_000)),
             lambda: run_pcor(
                 gen,
                 ReasonerOptions(
-                    collapse=CollapseMode.ON, max_depth=64, max_entries=5_000_000
+                    collapse=CollapseMode.ON, max_depth=64, max_entries=200_000
                 ),
             ),
         ):

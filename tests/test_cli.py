@@ -82,6 +82,8 @@ class TestRun:
         ]
 
     def test_collapse_flag_changes_stored_entries(self, capsys, collapse_file):
+        # over 10x what either run needs: 4,000 entries, 4 rounds
+        bounds = ("--max-entries", "40000", "--max-depth", "40")
         _, off = run_json(
             capsys,
             "run",
@@ -92,6 +94,7 @@ class TestRun:
             "--collapse",
             "off",
             "--stats",
+            *bounds,
         )
         _, on = run_json(
             capsys,
@@ -103,6 +106,7 @@ class TestRun:
             "--collapse",
             "on",
             "--stats",
+            *bounds,
         )
         # 1000 q-derivations + 1 s-alias + 1000 t-trees + 999 loop trees
         assert off["stats"]["entries"] == 3000
@@ -235,6 +239,11 @@ class TestErrors:
             "r(a,b1)",
             "--solver",
             "bruteforce",
+            # over 10x what reasoning needs: 64 entries, 4 rounds
+            "--max-entries",
+            "1000",
+            "--max-depth",
+            "40",
         )
         assert code == 3
         assert json.loads(out)["error"]["type"] == "wmc"
@@ -480,7 +489,10 @@ class TestCompare:
     def test_generated_corpus_file_has_tiny_deltas(self, capsys, tmp_path):
         out = tmp_path / "graph.pl"
         run_cli(capsys, "gen", "--kind", "powerlaw", "--nodes", "12", "--seed", "4", "--out", str(out))
-        code, report = run_json(capsys, "compare", "--program", str(out))
+        # over 10x what reasoning needs: 94 entries, 4 rounds
+        code, report = run_json(
+            capsys, "compare", "--program", str(out), "--max-entries", "1000", "--max-depth", "40"
+        )
         assert code == 0
         assert report["max_delta"] <= 1e-9
 

@@ -4,9 +4,11 @@ import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example, reason
 from corpus import corpus, random_tiny_program_text
-from oracles import has_or, root_only_redundant, unfold
+from oracles import has_or, node_groundings, root_only_redundant, unfold
 from probdatalog import (
+    ReasonerOptions,
     base_step,
+    chain_program,
     collapse,
     inductive_step,
     instantiate_node,
@@ -14,7 +16,6 @@ from probdatalog import (
     normalize,
     parse_atom,
     parse_program,
-    reasoner,
     run_pr,
     should_collapse,
 )
@@ -214,20 +215,17 @@ class TestRedundancy:
     @pytest.mark.parametrize(
         "text", [RUNNING_EXAMPLE, *corpus(40)], ids=["running", *map(str, range(40))]
     )
-    def test_root_only_rule_agrees_on_plain_candidates(self, monkeypatch, text):
-        # the reason plain runs may use the hereditary check: on entries
-        # built from plain stores it gives the paper's root-only answer
-        checked = []
-
+    def test_root_only_rule_agrees_on_plain_candidates(self, text):
+        # the reason plain runs may use the hereditary check, and reject a
+        # candidate before building it by the root-in-cone test: on entries
+        # built from plain stores both give the paper's root-only answer
         def both(e):
-            out = is_hereditarily_redundant(e)
-            assert root_only_redundant(e) == out
-            checked.append(out)
+            out = root_only_redundant(e)
+            assert is_hereditarily_redundant(e) == out
             return out
 
-        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", both)
-        reason(normalize(parse_program(text)))
-        assert checked
+        verdicts = stored_as_rebuilt(reason(normalize(parse_program(text))), "off", both)
+        assert verdicts
 
 
 def redundant_by_unfolding(e) -> bool:
@@ -239,6 +237,41 @@ def cone(x) -> set:
     if isinstance(x, Leaf):
         return set()
     return {x.root}.union(*(cone(c) for c in x.children))
+
+
+def shape(e):
+    """An entry by root, label and children: another node's entries by
+    identity, since a rebuilt candidate shares them, its own by shape."""
+    return (e.root, e.label, tuple(
+        c if isinstance(c, Leaf) else shape(c) if c.home == e.home else id(c)
+        for c in e.children
+    ))
+
+
+def stored_as_rebuilt(result, mode, redundant):
+    """Rebuild every node's candidates in full from its groundings against
+    the stores it was instantiated on, collapse them as the run did, and
+    check that the node stored, in order, exactly those that `redundant`
+    does not reject.  Returns each candidate with its verdict, the ones
+    the run rejected before building them included."""
+    verdicts = []
+    threshold = ReasonerOptions().threshold
+    for node in result.graph.nodes:
+        found = node_groundings(node, result.facts, result.stores)
+        by_root = instantiate_node(node, found, result.facts, result.stores).by_root
+        collapsing = mode == "on" or (
+            mode == "auto" and by_root and should_collapse(by_root, threshold)
+        )
+        kept = []
+        for entries in by_root.values():
+            for e in [collapse(entries)] if collapsing and len(entries) > 1 else entries:
+                out = redundant(e)
+                verdicts.append((e, out))
+                if not out:
+                    kept.append(e)
+        stored = result.stores[node.id].entries
+        assert [shape(e) for e in stored] == [shape(e) for e in kept], (mode, node.id)
+    return verdicts
 
 
 def reaches_the_walk(e) -> bool:
@@ -255,31 +288,36 @@ class TestRedundancyCases:
     the entry, by the OR-free rule, or by a memoized walk; each must give
     the answer of the definition."""
 
-    PROGRAMS = [RUNNING_EXAMPLE, collapse_example(4), *corpus(40)] + [
-        random_tiny_program_text(seed) for seed in range(40)
+    # Under `auto` too, collapse_example(12) feeds stores holding OR
+    # entries to later nodes, and reachability over the complete digraph
+    # on four nodes collapses nodes with redundant candidates.
+    COMPLETE_4 = "".join(
+        f"0.5::e({x},{y}).\n" for x in "abcd" for y in "abcd" if x != y
+    ) + "p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,Z), e(Z,Y).\n"
+    PROGRAMS = [
+        RUNNING_EXAMPLE, collapse_example(4), collapse_example(12), COMPLETE_4,
+        *corpus(40), *(random_tiny_program_text(seed) for seed in range(40)),
     ]
 
     @pytest.mark.parametrize("mode", ["off", "on", "auto"])
-    def test_every_candidate_verdict_matches_its_unfoldings(self, monkeypatch, mode):
-        checked, walked = [], []
-
+    def test_every_candidate_verdict_matches_its_unfoldings(self, mode):
         def against_definition(e):
-            out = is_hereditarily_redundant(e)
-            assert out == redundant_by_unfolding(e), (str(e.root), mode)
-            checked.append(out)
-            walked.append(reaches_the_walk(e))
+            out = redundant_by_unfolding(e)
+            assert is_hereditarily_redundant(e) == out, (str(e.root), mode)
             return out
 
-        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", against_definition)
+        verdicts = []
         for text in self.PROGRAMS:
             prog = normalize(parse_program(text))
             # twice in one process: a verdict cached in one run is never
             # read by the next, whose entries are all fresh
             first, second = (reason(prog, mode) for _ in range(2))
             assert first.live_store_sizes() == second.live_store_sizes()
+            verdicts += stored_as_rebuilt(first, mode, against_definition)
+        checked = [out for _, out in verdicts]
         assert any(checked) and not all(checked)
         if mode == "on":
-            assert any(walked)
+            assert any(reaches_the_walk(e) for e, _ in verdicts)
 
     def test_or_entry_seen_under_two_ancestor_sets(self):
         # the same OR entry is clean below one ancestor and not below another
@@ -303,6 +341,17 @@ class TestRedundancyCases:
         assert is_hereditarily_redundant(plain)  # one unfolding, c repeats
         for e in (or_b, via_c, via_cd, plain):
             assert is_hereditarily_redundant(e) == redundant_by_unfolding(e)
+
+
+def test_entry_repr_does_not_grow_with_its_dag():
+    # pytest renders the repr of what a failing assert names
+    result = reason(normalize(parse_program(chain_program(8, 0))))
+    top = max(
+        (e for s in result.stores.values() for e in s.entries),
+        key=lambda e: len(cone(e)),
+    )
+    assert len(cone(top)) == 13  # facts in the DAG below; its tree is larger
+    assert len(repr(top)) < 200
 
 
 class TestCollapseUnfold:

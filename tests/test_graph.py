@@ -236,11 +236,11 @@ class TestJoinDrivenGrowth:
         # joining the node's body against its own sources' sorted root facts
         checked = []
 
-        def checked_instantiate(node, groundings, facts, stores, budget):
+        def checked_instantiate(node, groundings, facts, stores, budget, prune):
             groundings = list(groundings)
             assert groundings == node_groundings(node, facts, stores), node.id
             checked.append(node.id)
-            return instantiate_node(node, groundings, facts, stores, budget)
+            return instantiate_node(node, groundings, facts, stores, budget, prune)
 
         monkeypatch.setattr(reasoner, "instantiate_node", checked_instantiate)
         result = reason(normalize(parse_program(text)), mode)

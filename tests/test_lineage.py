@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import collapse_example
+from conftest import MAX_DEPTH, MAX_ENTRIES, collapse_example
 from corpus import corpus
 from oracles import (
     atom_key,
@@ -18,6 +18,7 @@ from probdatalog import (
     TRUE,
     Dnf,
     LineageTooLargeError,
+    ReasonerOptions,
     UnknownPredicateError,
     collapse,
     collect_lineage,
@@ -324,7 +325,13 @@ class TestOnePassAggregation:
     @pytest.mark.parametrize("runner", [run_pr, run_pcor])
     def test_matches_or_fold(self, text, runner):
         prog = normalize(parse_program(text))
-        result = runner(prog)
+        # over 10x the most a run needs: 500 entries, 7 rounds; run_pr
+        # overrides the collapse mode with `off`
+        result = runner(prog, ReasonerOptions(
+            collapse="auto", max_entries=MAX_ENTRIES, max_depth=MAX_DEPTH
+        ))
+        stop_reason = result.stop_reason  # a result's repr is too long to render
+        assert stop_reason == "fixpoint"
         for query in open_queries(prog):
             answers = collect_lineage(result, prog, query)
             assert [a.fact for a in answers] == sorted(

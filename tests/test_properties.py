@@ -1,5 +1,6 @@
 """Cross-cutting invariants on the randomized corpus."""
 
+from conftest import MAX_ENTRIES, reason
 from corpus import random_program_text
 from probdatalog import (
     CollapseMode,
@@ -8,7 +9,6 @@ from probdatalog import (
     parse_program,
     probability,
     round_bound_snapshot,
-    run_pcor,
     run_pr,
     tcp_fixpoint,
 )
@@ -24,16 +24,17 @@ def programs():
 
 def test_termination_cap_is_never_reached():
     for seed, prog in programs():
-        result = run_pr(prog, ReasonerOptions(max_depth=64))
-        assert result.stop_reason == "fixpoint", seed
+        result = run_pr(prog, ReasonerOptions(max_depth=64, max_entries=MAX_ENTRIES))
+        stop_reason = result.stop_reason  # a result's repr is too long to render
+        assert stop_reason == "fixpoint", seed
         assert result.stats.rounds_executed < 64, seed
 
 
 def test_plain_and_collapsed_terminate_in_the_same_round():
     for seed, prog in programs():
-        plain = run_pr(prog)
+        plain = reason(prog)
         for mode in (CollapseMode.ON, CollapseMode.AUTO):
-            collapsed = run_pcor(prog, ReasonerOptions(collapse=mode))
+            collapsed = reason(prog, mode)
             assert (
                 collapsed.stats.rounds_executed == plain.stats.rounds_executed
             ), (seed, mode)
@@ -41,8 +42,8 @@ def test_plain_and_collapsed_terminate_in_the_same_round():
 
 def test_engines_agree_on_denser_corpus():
     for seed, prog in programs():
-        plain = run_pr(prog)
-        collapsed = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        plain = reason(prog)
+        collapsed = reason(prog, CollapseMode.ON)
         reference = tcp_fixpoint(prog).formulas
         snap = round_bound_snapshot(plain, plain.rounds)
         snap_c = round_bound_snapshot(collapsed, collapsed.rounds)
@@ -66,7 +67,7 @@ def test_child_references_are_acyclic():
 
     for seed in list(SEEDS)[:10]:
         prog = normalize(parse_program(random_program_text(seed)))
-        result = run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON))
+        result = reason(prog, CollapseMode.ON)
         for store in result.stores.values():
             for entry in store.entries:
                 assert height(entry, frozenset()) >= 1

@@ -161,6 +161,17 @@ class TestExactSolver:
         expected = float(1 - (1 - clause) ** 2)
         assert abs(probability(d, w) - expected) <= 1e-9 * expected
 
+    def test_component_product_is_the_same_on_every_python(self):
+        # p(n29,n29) of the powerlaw benchmark at seed 2: three independent
+        # clauses, whose log-space sum Python 3.12's compensated `sum` and
+        # 3.10/3.11's plain one round differently; `math.fsum` is exact
+        d = Dnf.from_clauses([[30, 31], [50, 51], [52, 53]])
+        w = {
+            30: 0.342629, 31: 0.173028, 50: 0.491013,
+            51: 0.882349, 52: 0.500757, 53: 0.798372,
+        }
+        assert probability(d, w) == 0.6799949788185017
+
 
 def reliability_text(layers: int, width: int, seed: int) -> str:
     """Two-terminal reachability p(s,t) over a layered DAG: s feeds every
