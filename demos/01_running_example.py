@@ -5,7 +5,10 @@
 # execution graph, read off the DNF lineage of each reachable pair, and
 # compute exact probabilities by weighted model counting.
 
+import sys
+
 from probdatalog import (
+    ReasonerOptions,
     collect_lineage,
     normalize,
     parse_atom,
@@ -25,7 +28,10 @@ p(X,Y) :- p(X,Z), p(Z,Y).
 """
 
 prog = normalize(parse_program(PROGRAM))
-result = run_pr(prog)
+# about 10x what the example needs (20 entries, 3 rounds)
+result = run_pr(prog, ReasonerOptions(max_entries=200, max_depth=30))
+if result.stop_reason != "fixpoint":
+    sys.exit(f"reasoning stopped early: {result.stop_reason}")
 
 print(f"reasoning took {result.stats.rounds_executed} rounds; "
       f"the graph settled at depth {result.rounds}")

@@ -5,6 +5,7 @@
 # N-1 of r(a,b1); collapsed, a single OR entry stands in for each set, and
 # downstream rule instantiations see one derivation instead of a thousand.
 
+import sys
 import time
 
 from probdatalog import (
@@ -30,17 +31,21 @@ lines += [
 prog = normalize(parse_program("\n".join(lines)))
 
 t_atom, r_atom = parse_atom("t(a)"), parse_atom("r(a,b1)")
+# about 10x what individual storage needs (4,000 entries, 4 rounds)
+bounds = dict(max_entries=40_000, max_depth=40)
 
 for label, runner in (
-    ("individual storage", lambda: run_pr(prog)),
+    ("individual storage", lambda: run_pr(prog, ReasonerOptions(**bounds))),
     (
         "collapsed storage",
-        lambda: run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON)),
+        lambda: run_pcor(prog, ReasonerOptions(collapse=CollapseMode.ON, **bounds)),
     ),
 ):
     t0 = time.perf_counter()
     result = runner()
     dt = time.perf_counter() - t0
+    if result.stop_reason != "fixpoint":
+        sys.exit(f"{label}: reasoning stopped early: {result.stop_reason}")
     t_count = max(
         len(s.by_root.get(t_atom, ())) for s in result.stores.values()
     )

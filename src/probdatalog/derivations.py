@@ -9,10 +9,10 @@ materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
 
 Graph growth hands each node its groundings, so instantiation joins
-nothing.  An entry's DAG never changes, so an entry caches its cone of
-facts, OR-freeness and own redundancy verdict, and a store whether all
-its entries are OR-free: on such stores instantiation rejects redundant
-candidates unbuilt, though `allocated` counts every candidate.
+nothing.  An entry's DAG never changes, so an entry caches in slots its
+cone of facts, OR-freeness, own redundancy verdict and lineage clause, and
+a store whether all its entries are OR-free: on such stores instantiation
+rejects redundant candidates unbuilt, yet `allocated` counts them all.
 """
 
 from __future__ import annotations
@@ -39,13 +39,17 @@ class Leaf:
     var: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DerivationEntry:
     root: Atom
     label: Label
     # repr=False: a child's repr spells out its whole unfolded tree
     children: tuple["Child", ...] = field(repr=False)
     home: int  # owning execution-graph node
+    _cone: frozenset = field(init=False, repr=False)
+    _or_free: bool = field(init=False, repr=False)
+    _verdict: bool = field(init=False, repr=False)
+    _clause: Optional[frozenset] = field(init=False, repr=False)
 
 
 Child = Union[Leaf, DerivationEntry]

@@ -10,7 +10,8 @@ Hence an atom's lineage is built by gathering the clauses of all its stored
 entries, found through a root -> entries index made in one scan of the
 stores, and absorbing them once, not re-absorbing after every `or_`.  The
 database is the depth-0 store, so a fact's lineage is its own variable by
-the same path, as in the reference engine's initial map.
+the same path, as in the reference engine's initial map.  An entry with no
+OR below it is one clause, cached on it once read; `phi` unfolds the rest.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional
 
-from .derivations import EMPTY, DerivationEntry, Label, Leaf
+from .derivations import EMPTY, Child, DerivationEntry, Label, Leaf
 from .model import Atom, Program, match_atom
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,38 +44,26 @@ class IncompleteReasoningError(RuntimeError):
 
 
 def _absorb(clauses: Iterable[Clause]) -> frozenset[Clause]:
-    """Drop every clause that is a superset of another clause."""
+    """Drop every clause that is a superset of another clause.  A kept clause
+    is filed under its lowest variable, which its supersets hold too."""
     unique = set(clauses)
-    if EMPTY in unique:
-        return frozenset({EMPTY})
+    if len(unique) < 2 or EMPTY in unique:
+        return frozenset({EMPTY}) if EMPTY in unique else frozenset(unique)
     kept: List[Clause] = []
-    occ: Dict[int, List[int]] = {}
+    by_low: Dict[int, List[Clause]] = {}
     for c in sorted(unique, key=len):
-        counts: Dict[int, int] = {}
-        subsumed = False
-        for v in c:
-            for i in occ.get(v, ()):
-                hits = counts.get(i, 0) + 1
-                if hits == len(kept[i]):
-                    subsumed = True
-                    break
-                counts[i] = hits
-            if subsumed:
-                break
-        if not subsumed:
-            idx = len(kept)
+        if not any(k <= c for v in c if v in by_low for k in by_low[v]):
             kept.append(c)
-            for v in c:
-                occ.setdefault(v, []).append(idx)
+            by_low.setdefault(min(c), []).append(c)
     return frozenset(kept)
 
 
-def _disjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
-    """Disjunction with one absorption.  Gathered clauses are absorbed early
-    only if they pass the cap, and only an absorbed set above it raises."""
+def _disjoin(disjuncts: Iterable[Collection[Clause]], max_clauses: Optional[int]) -> "Dnf":
+    """Disjunction of clause sets with one absorption.  Gathered clauses are
+    absorbed early only past the cap, and only an absorbed set above it raises."""
     gathered: List[Clause] = []
-    for d in dnfs:
-        gathered.extend(d.clauses)
+    for clauses in disjuncts:
+        gathered.extend(clauses)
         if max_clauses is not None and len(gathered) > max_clauses:
             gathered = list(_absorb(gathered))
             if len(gathered) > max_clauses:
@@ -137,7 +126,7 @@ class Dnf:
             return self
         if other.is_true or self.is_false:
             return other
-        return _disjoin((self, other), max_clauses)
+        return _disjoin((self.clauses, other.clauses), max_clauses)
 
     def and_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
         return _conjoin((self, other), max_clauses)
@@ -173,6 +162,18 @@ FALSE = Dnf(frozenset())
 # Formula extraction from stored derivations
 # ---------------------------------------------------------------------------
 
+def _clause(x: Child, shared: Dict[Clause, Clause]) -> Optional[Clause]:
+    """An OR-free derivation's clause, cached, equal ones shared; else None."""
+    if isinstance(x, Leaf):
+        return frozenset((x.var,))
+    c = getattr(x, "_clause", False)
+    if c is False:
+        cs = [_clause(child, shared) for child in x.children] if x.label is Label.AND else [None]
+        c = None if None in cs else EMPTY.union(*cs)
+        x._clause = c = shared.setdefault(c, c)
+    return c
+
+
 def phi(
     entry: DerivationEntry | Leaf,
     max_clauses: Optional[int] = DEFAULT_CLAUSE_CAP,
@@ -182,22 +183,25 @@ def phi(
     alternatives of OR entries disjoin.
 
     Equals the disjunction, over every unfolded plain tree, of the
-    conjunction of that tree's leaves.  Entries form a shared DAG, so
-    results are memoized per entry; pass `memo` to share across calls.
+    conjunction of that tree's leaves; an OR-free derivation is its clause.
+    Entries form a shared DAG, so results are memoized per entry; pass
+    `memo` to share across calls.
     """
     if memo is None:
         memo = {}
+    shared: Dict[Clause, Clause] = {}
 
     def rec(node) -> Dnf:
-        if isinstance(node, Leaf):
-            return Dnf.single(node.var)
+        clause = _clause(node, shared)
+        if clause is not None:
+            return Dnf(frozenset((clause,)))
         cached = memo.get(id(node))
         if cached is not None:
             return cached
         if node.label is Label.AND:
             out = _conjoin((rec(child) for child in node.children), max_clauses)
         else:
-            out = _disjoin((rec(child) for child in node.children), max_clauses)
+            out = _disjoin((rec(child).clauses for child in node.children), max_clauses)
         memo[id(node)] = out
         return out
 
@@ -226,6 +230,17 @@ def _entries_by_root(
     return index
 
 
+def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dnf]) -> Dnf:
+    """One atom's lineage: each plain entry's clause, `phi` only for an
+    entry with an OR below it, absorbed once."""
+    shared: Dict[Clause, Clause] = {}
+    return _disjoin(
+        ((c,) if (c := _clause(e, shared)) is not None else phi(e, max_clauses, memo).clauses
+         for e in entries),
+        max_clauses,
+    )
+
+
 def round_bound_snapshot(
     result: "ReasoningResult",
     k: int,
@@ -244,7 +259,7 @@ def round_bound_snapshot(
     if memo is None:
         memo = {}
     return {
-        root: _disjoin((phi(e, memo=memo) for e in entries), DEFAULT_CLAUSE_CAP)
+        root: _gather(entries, DEFAULT_CLAUSE_CAP, memo)
         for root, entries in _entries_by_root(result, k).items()
         if atoms is None or root in atoms
     }
@@ -271,7 +286,8 @@ def collect_lineage(
     index = _entries_by_root(result, result.rounds)
     memo: Dict[int, Dnf] = {}
     return [
-        Answer(inst, _disjoin((phi(e, max_clauses, memo) for e in index[inst]), max_clauses))
-        for inst in sorted(index, key=Atom.sort_key)
-        if match_atom(query, inst, {}) is not None
+        Answer(inst, _gather(index[inst], max_clauses, memo))
+        for inst in sorted(
+            (a for a in index if match_atom(query, a, {}) is not None), key=Atom.sort_key
+        )
     ]

@@ -7,16 +7,16 @@ package's join/instantiation machinery.  The rest are the literal
 definitions the package computes more cleverly: k-compatible parent tuples
 and the unpruned graph growth built on them, the per-node join that grounds
 a node's body against its sources' root facts, the unfoldings of a collapsed
-derivation, the paper's root-only redundancy rule, DNF evaluation and
-conditioning, truth tables, and the variable-disjoint components of a
-clause set.
+derivation, the lineage of a stored derivation, the paper's root-only
+redundancy rule, DNF evaluation and conditioning, truth tables, and the
+variable-disjoint components of a clause set.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, List
 
-from probdatalog import Atom, Dnf, Program, TooManyVariablesError
+from probdatalog import FALSE, TRUE, Atom, Dnf, Program, TooManyVariablesError
 from probdatalog.derivations import DerivationEntry, Label, Leaf
 from probdatalog.graph import EgNode, ExecutionGraph
 from probdatalog.model import Rule, RuleKind, SymbolKind, join, substitute
@@ -202,15 +202,14 @@ def node_groundings(node: EgNode, facts, stores) -> List[tuple]:
     ]
 
 
-def has_or(x) -> bool:
-    """True iff an OR entry occurs in the DAG of `x` (cached per entry)."""
+def has_or(x, memo=None) -> bool:
+    """True iff an OR entry occurs in the DAG of `x` (memoized per call)."""
     if isinstance(x, Leaf):
         return False
-    cached = getattr(x, "_has_or", None)
-    if cached is None:
-        cached = x.label is Label.OR or any(has_or(c) for c in x.children)
-        x._has_or = cached
-    return cached
+    memo = {} if memo is None else memo
+    if id(x) not in memo:
+        memo[id(x)] = x.label is Label.OR or any(has_or(c, memo) for c in x.children)
+    return memo[id(x)]
 
 
 def unfold(entry) -> Iterator:
@@ -230,6 +229,22 @@ def unfold(entry) -> Iterator:
         return
     for combo in product(*(tuple(unfold(c)) for c in entry.children)):
         yield DerivationEntry(entry.root, Label.AND, combo, entry.home)
+
+
+def unfolded_dnf(x, memo=None) -> Dnf:
+    """Lineage of a stored derivation by its definition, never through an
+    entry's cached clause: a leaf is its variable, an AND entry the `and_`
+    of its children's lineage, an OR entry their `or_` (memoized per call)."""
+    if isinstance(x, Leaf):
+        return Dnf.single(x.var)
+    memo = {} if memo is None else memo
+    if id(x) not in memo:
+        out = TRUE if x.label is Label.AND else FALSE
+        for c in x.children:
+            d = unfolded_dnf(c, memo)
+            out = out.and_(d) if x.label is Label.AND else out.or_(d)
+        memo[id(x)] = out
+    return memo[id(x)]
 
 
 def root_only_redundant(entry: DerivationEntry) -> bool:

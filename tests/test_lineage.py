@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MAX_DEPTH, MAX_ENTRIES, collapse_example
+from conftest import MAX_DEPTH, MAX_ENTRIES, collapse_example, reason
 from corpus import corpus
 from oracles import (
     atom_key,
@@ -11,7 +11,9 @@ from oracles import (
     evaluate,
     evaluate_all,
     explanation_map,
+    has_or,
     truth_table_equal,
+    unfolded_dnf,
 )
 from probdatalog import (
     FALSE,
@@ -32,6 +34,7 @@ from probdatalog import (
     tcp_initial,
 )
 from probdatalog.derivations import DerivationEntry, Label, Leaf
+from probdatalog.lineage import _absorb, _clause
 from probdatalog.model import Atom, atom, match_atom, variable
 
 clauses_strategy = st.lists(
@@ -88,6 +91,19 @@ class TestDnf:
             world = {v for v in variables if m >> pos[v] & 1}
             raw = any(set(c) <= world for c in clauses)
             assert evaluate(normalized, world) == raw
+
+    @given(clauses_strategy, st.booleans(), st.booleans())
+    @example([frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})], False, False)
+    @example([frozenset({1}), frozenset(), frozenset({1})], False, False)
+    @example([frozenset({i}) for i in range(5)] + [frozenset({0, 4})], True, True)
+    @settings(max_examples=300, deadline=None)
+    def test_absorb_keeps_exactly_the_minimal_clauses(self, clauses, shared, repeated):
+        if shared:  # one variable in every clause
+            clauses = [c | {8} for c in clauses]
+        if repeated:
+            clauses = clauses + clauses[::2]
+        unique = set(clauses)
+        assert _absorb(clauses) == {c for c in unique if not any(k < c for k in unique)}
 
     @given(clauses_strategy, clauses_strategy)
     @settings(max_examples=150, deadline=None)
@@ -159,6 +175,41 @@ class TestPhi:
         for e in entries[1:]:
             expected = expected | phi(e)
         assert phi(merged) == expected
+
+    def test_entry_with_an_or_below_has_no_clause_and_recurses(self):
+        root = atom("p")
+        plain = DerivationEntry(root, Label.AND, (Leaf(1), Leaf(2)), 0)
+        alts = collapse([DerivationEntry(root, Label.AND, (Leaf(0),), 0), plain])
+        top = DerivationEntry(root, Label.AND, (alts, Leaf(3)), 0)
+        memo = {}
+        assert phi(top, memo=memo) == unfolded_dnf(top)
+        assert phi(top).sorted_clauses() == [(0, 3), (1, 2, 3)]
+        assert top._clause is None and alts._clause is None
+        assert plain._clause == frozenset({1, 2})
+        # the recursion memoizes the entries above the OR entry, not plain ones
+        assert set(memo) == {id(top), id(alts)}
+
+    def test_equal_clauses_are_one_object(self):
+        a, b = (DerivationEntry(atom("p"), Label.AND, (Leaf(1), Leaf(2)), 0) for _ in "ab")
+        shared = {}
+        assert _clause(a, shared) is _clause(b, shared)
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_plain_entry_clause_is_its_unfolded_lineage(self, mode):
+        checked = 0
+        for text in AGGREGATION_PROGRAMS[:10] + [collapse_example(4)]:
+            prog = normalize(parse_program(text))
+            result = reason(prog, mode)
+            for store in result.stores.values():
+                for e in store.entries:
+                    if has_or(e):
+                        assert _clause(e, {}) is None
+                    else:
+                        assert Dnf(frozenset({_clause(e, {})})) == unfolded_dnf(e)
+                        assert e._clause is _clause(e, {})
+                        checked += 1
+                    assert phi(e) == unfolded_dnf(e)
+        assert checked
 
     def test_clause_guard_raises_structured_error(self):
         root = atom("big")
@@ -278,9 +329,9 @@ class TestExplanationOracle:
         assert checked
 
 
-def fold_collect(result, prog, query):
-    """Reference: every answer's lineage as a pairwise `or_` fold, scanning
-    every store once per answer."""
+def fold_collect(result, prog, query, memo):
+    """Reference: every answer's lineage as a pairwise `or_` fold of its
+    entries' unfolded lineage, scanning every store once per answer."""
     fact_var = {f.fact: f.var for f in prog.facts}
     instances = {a for a in fact_var if match_atom(query, a, {}) is not None}
     for store in result.stores.values():
@@ -290,12 +341,12 @@ def fold_collect(result, prog, query):
         dnf = Dnf.single(fact_var[inst]) if inst in fact_var else FALSE
         for store in result.stores.values():
             for e in store.by_root.get(inst, ()):
-                dnf = dnf.or_(phi(e))
+                dnf = dnf.or_(unfolded_dnf(e, memo))
         out[inst] = dnf
     return out
 
 
-def fold_snapshot(result, prog, k):
+def fold_snapshot(result, prog, k, memo):
     out = {f.fact: Dnf.single(f.var) for f in prog.facts}
     for node_id, store in result.stores.items():
         if result.graph.node(node_id).depth > k:
@@ -303,7 +354,7 @@ def fold_snapshot(result, prog, k):
         for root, entries in store.by_root.items():
             acc = out.get(root, FALSE)
             for e in entries:
-                acc = acc.or_(phi(e))
+                acc = acc.or_(unfolded_dnf(e, memo))
             out[root] = acc
     return out
 
@@ -320,6 +371,23 @@ def open_queries(prog):
 AGGREGATION_PROGRAMS = corpus(25, seed=3) + [collapse_example(30)]
 
 
+def check_one_pass(result, prog):
+    """`collect_lineage` (at a fixpoint) and every round's snapshot equal
+    their `or_` folds over the unfolded lineage."""
+    memo = {}
+    if result.stop_reason == "fixpoint":
+        for query in open_queries(prog):
+            answers = collect_lineage(result, prog, query)
+            assert [a.fact for a in answers] == sorted(
+                (a.fact for a in answers), key=Atom.sort_key
+            )
+            assert {a.fact: a.lineage for a in answers} == fold_collect(
+                result, prog, query, memo
+            )
+    for k in range(result.rounds + 2):
+        assert round_bound_snapshot(result, k) == fold_snapshot(result, prog, k, memo)
+
+
 class TestOnePassAggregation:
     @pytest.mark.parametrize("text", AGGREGATION_PROGRAMS)
     @pytest.mark.parametrize("runner", [run_pr, run_pcor])
@@ -332,16 +400,24 @@ class TestOnePassAggregation:
         ))
         stop_reason = result.stop_reason  # a result's repr is too long to render
         assert stop_reason == "fixpoint"
-        for query in open_queries(prog):
-            answers = collect_lineage(result, prog, query)
-            assert [a.fact for a in answers] == sorted(
-                (a.fact for a in answers), key=Atom.sort_key
-            )
-            assert {a.fact: a.lineage for a in answers} == fold_collect(
-                result, prog, query
-            )
-        for k in range(result.rounds + 2):
-            assert round_bound_snapshot(result, k) == fold_snapshot(result, prog, k)
+        check_one_pass(result, prog)
+
+    @pytest.mark.parametrize("text", AGGREGATION_PROGRAMS)
+    @pytest.mark.parametrize("runner, options", [
+        (run_pcor, dict(collapse="on", max_entries=MAX_ENTRIES, max_depth=MAX_DEPTH)),
+        # an unfiltered run stops at its depth bound; in 4 rounds the runs
+        # allocate at most 4,466 entries (corpus program 9, collapse off)
+        (run_pr, dict(redundancy_filter=False, max_depth=4, max_entries=50_000)),
+        (run_pcor, dict(collapse="on", redundancy_filter=False, max_depth=4, max_entries=50_000)),
+    ], ids=["on", "unfiltered-off", "unfiltered-on"])
+    def test_matches_or_fold_in_every_mode(self, text, runner, options):
+        prog = normalize(parse_program(text))
+        result = runner(prog, ReasonerOptions(**options))
+        stop_reason = result.stop_reason
+        assert stop_reason == "fixpoint" or (
+            stop_reason == "max_depth" and "redundancy_filter" in options
+        )
+        check_one_pass(result, prog)
 
     def test_clause_cap_applies_to_the_absorbed_set(self):
         text = "0.5::a.\n" + "".join(f"0.5::b(c{i}).\n" for i in range(5))
