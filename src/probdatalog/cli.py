@@ -88,8 +88,11 @@ def _resolve_queries(prog: Program, query_arg: Optional[str]) -> List[Atom]:
             "parse", "no --query given and the program declares no query(...)", EXIT_PARSE
         )
     for query in queries:
-        if query.predicate not in prog.predicates:
+        arity = prog.predicates.get(query.predicate)
+        if arity is None:
             raise CliError("parse", f"unknown predicate {query.predicate.text}", EXIT_PARSE)
+        if arity != query.arity:
+            raise CliError("parse", f"query {query}: predicate arity is {arity}", EXIT_PARSE)
     return queries
 
 

@@ -115,11 +115,11 @@ def instantiate_node(
     the chosen facts' entry lists, so a base-rule grounding yields exactly
     one entry, with leaf children.
 
-    With `prune`, for a caller that keeps only non-redundant candidates
-    and does not collapse this node, a non-base node on OR-free parent
-    stores builds only candidates whose root lies in no child's cone, with
-    their verdict cached: a stored plain child repeats no fact on any
-    path, so that is `is_hereditarily_redundant`.  `allocated` counts every
+    With `prune`, for a caller that keeps only non-redundant candidates,
+    a non-base node on OR-free parent stores builds only candidates whose
+    root lies in no child's cone, with their verdict cached: a stored
+    plain child repeats no fact on any path, so that is
+    `is_hereditarily_redundant`.  `allocated` counts every
     candidate, built or rejected, so pruning never moves a budget trip.
     """
     out: Dict[Atom, List[DerivationEntry]] = {}

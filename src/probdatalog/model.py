@@ -156,12 +156,12 @@ class Program:
         return frozenset(r.head.predicate for r in self.rules)
 
     @cached_property
-    def predicates(self) -> frozenset[Symbol]:
-        """Predicates of facts and rules; a query alone does not add one."""
-        preds = set(self.fact_predicates) | set(self.head_predicates)
-        for r in self.rules:
-            preds.update(a.predicate for a in r.body)
-        return frozenset(preds)
+    def predicates(self) -> dict[Symbol, int]:
+        """The arity of each predicate of facts and rules; a query alone
+        does not add one."""
+        atoms = [f.fact for f in self.facts]
+        atoms += [a for r in self.rules for a in (r.head, *r.body)]
+        return {a.predicate: a.arity for a in atoms}
 
     @cached_property
     def weights(self) -> dict[int, float]:

@@ -2,10 +2,10 @@
 
 Each round extends the graph by one depth level, with a node only for
 parents whose stored root facts join the rule body, turns the groundings
-that join found into the candidate derivations of every fresh node,
-optionally collapses same-root sets, keeps the non-redundant ones, and
-removes nodes that stored nothing.  The loop stops when the graph depth
-stops growing, i.e. when every fresh node of the round was removed.
+that join found into the candidate derivations of every fresh node, keeps
+the non-redundant ones, optionally collapses each root's survivors into
+one OR entry, and removes nodes that stored nothing.  The loop stops when
+a round stores nothing: the graph depth has then stopped growing.
 """
 
 from __future__ import annotations
@@ -114,9 +114,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
     stop_reason = "fixpoint"
     allocated_total = 0
     cap = float("inf") if opts.max_entries is None else opts.max_entries
-    # only candidates kept apart are pruned, so `on` builds them all
-    prune = opts.redundancy_filter and opts.collapse is not CollapseMode.ON
-    prev_depth = 0
     k = 0
 
     while True:
@@ -134,31 +131,30 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 roots = {v: store.by_root for v, store in stores.items()}
                 grown = inductive_step(g, rules, k, roots, cap - allocated_total)
             for v, found in grown:
-                inst = instantiate_node(v, found, facts, stores, cap - allocated_total, prune)
+                inst = instantiate_node(
+                    v, found, facts, stores, cap - allocated_total, opts.redundancy_filter
+                )
+                allocated_total += inst.allocated
+                rs.entries_allocated += inst.allocated
+                rs.instantiations += inst.substitutions
                 collapsing = opts.collapse is CollapseMode.ON or (
                     opts.collapse is CollapseMode.AUTO
                     and inst.by_root
                     and should_collapse(inst.by_root, opts.threshold, inst.allocated)
                 )
-                if collapsing and sum(map(len, inst.by_root.values())) < inst.allocated:
-                    # an OR entry keeps every candidate, so build the rejected too
-                    inst = instantiate_node(v, found, facts, stores, cap - allocated_total)
-                allocated_total += inst.allocated
-                rs.entries_allocated += inst.allocated
-                rs.instantiations += inst.substitutions
 
                 store = NodeStore(v.id)
-                for root, entries in inst.by_root.items():
+                for entries in inst.by_root.values():
+                    if opts.redundancy_filter:
+                        entries = [e for e in entries if not is_hereditarily_redundant(e)]
                     if collapsing and len(entries) > 1:
-                        z = [collapse(entries)]
+                        # its alternatives are clean, so the OR entry is too
+                        entries = [collapse(entries)]
                         rs.or_entries += 1
                         rs.entries_allocated += 1
                         allocated_total += 1
-                    else:
-                        z = entries
-                    for e in z:
-                        if not (opts.redundancy_filter and is_hereditarily_redundant(e)):
-                            store.add(e)
+                    for e in entries:
+                        store.add(e)
                 rs.entries_stored += len(store.entries)
                 if not store.entries:
                     g.remove_node(v.id)
@@ -169,12 +165,9 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
             stop_reason = "max_entries"
 
         stats.per_round.append(rs)
-        if stop_reason != "fixpoint":
+        # round k adds and removes only depth-k nodes
+        if stop_reason != "fixpoint" or rs.entries_stored == 0:
             break
-        depth = g.depth()
-        if depth == prev_depth:
-            break
-        prev_depth = depth
         if opts.max_depth is not None and k >= opts.max_depth:
             stop_reason = "max_depth"
             break

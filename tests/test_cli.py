@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from conftest import RUNNING_EXAMPLE, collapse_example
-from probdatalog import Dnf, cli, collect_lineage, parse_program
+from conftest import RUNNING_EXAMPLE, collapse_example, reason
+from probdatalog import Dnf, cli, collect_lineage, normalize, parse_program
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +64,22 @@ class TestRun:
             "time_ms",
         }
         assert set(report["stats"]["time_ms"]) == {"reason", "lineage", "prob"}
+
+    def test_dump_graph_lists_live_nodes_on_stderr(self, capsys, running_file):
+        code, plain = run_cli(capsys, "run", "--program", running_file)
+        assert code == 0
+        code = cli.main(["run", "--program", running_file, "--dump-graph"])
+        dumped = capsys.readouterr()
+        assert code == 0
+        assert dumped.out == plain
+        result = reason(normalize(parse_program(RUNNING_EXAMPLE)), "auto")
+        expected = [
+            f"v{n.id} rule={n.rule.id} depth={n.depth} "
+            f"parents=[{','.join(map(str, n.parents))}]"
+            for n in result.graph.live_nodes()
+        ]
+        assert len(expected) > 1
+        assert dumped.err.splitlines() == expected
 
     def test_bounds_sequence(self, capsys, running_file):
         code, report = run_json(
@@ -321,6 +337,16 @@ class TestErrors:
         code, out = run_json(capsys, command, "--program", str(path), *flag)
         assert code == 1
         assert out["error"] == {"type": "parse", "message": "unknown predicate zz"}
+
+    @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+    def test_query_with_another_arity_exits_1(self, capsys, running_file, command):
+        code, out = run_json(
+            capsys, command, "--program", running_file, "--query", "p(X)"
+        )
+        assert code == 1
+        assert out["error"] == {
+            "type": "parse", "message": "query p(X): predicate arity is 2"
+        }
 
     def test_invalid_engine_name_is_a_usage_error(self, running_file):
         with pytest.raises(SystemExit) as err:

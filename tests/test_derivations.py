@@ -16,6 +16,7 @@ from probdatalog import (
     normalize,
     parse_atom,
     parse_program,
+    reasoner,
     run_pr,
     should_collapse,
 )
@@ -250,10 +251,10 @@ def shape(e):
 
 def stored_as_rebuilt(result, mode, redundant):
     """Rebuild every node's candidates in full from its groundings against
-    the stores it was instantiated on, collapse them as the run did, and
-    check that the node stored, in order, exactly those that `redundant`
-    does not reject.  Returns each candidate with its verdict, the ones
-    the run rejected before building them included."""
+    the stores it was instantiated on, keep those that `redundant` does not
+    reject, collapse each root's kept ones as the run did, and check that
+    the node stored exactly those, in order.  Returns each candidate with
+    its verdict, the ones the run rejected before building them included."""
     verdicts = []
     threshold = ReasonerOptions().threshold
     for node in result.graph.nodes:
@@ -262,15 +263,18 @@ def stored_as_rebuilt(result, mode, redundant):
         collapsing = mode == "on" or (
             mode == "auto" and by_root and should_collapse(by_root, threshold)
         )
-        kept = []
+        stored = []
         for entries in by_root.values():
-            for e in [collapse(entries)] if collapsing and len(entries) > 1 else entries:
+            kept = []
+            for e in entries:
                 out = redundant(e)
                 verdicts.append((e, out))
                 if not out:
                     kept.append(e)
-        stored = result.stores[node.id].entries
-        assert [shape(e) for e in stored] == [shape(e) for e in kept], (mode, node.id)
+            stored += [collapse(kept)] if collapsing and len(kept) > 1 else kept
+        assert [shape(e) for e in result.stores[node.id].entries] == [
+            shape(e) for e in stored
+        ], (mode, node.id)
     return verdicts
 
 
@@ -318,6 +322,19 @@ class TestRedundancyCases:
         assert any(checked) and not all(checked)
         if mode == "on":
             assert any(reaches_the_walk(e) for e, _ in verdicts)
+
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_each_node_is_instantiated_once(self, monkeypatch, mode):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(instantiate_node(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(reasoner, "instantiate_node", counted)
+        result = reason(normalize(parse_program(self.COMPLETE_4)), mode)
+        assert len(calls) == len(result.graph.nodes)
+        assert sum(c.substitutions for c in calls) == result.stats.total("instantiations")
 
     def test_or_entry_seen_under_two_ancestor_sets(self):
         # the same OR entry is clean below one ancestor and not below another
