@@ -26,6 +26,7 @@ from .lineage import (
     Dnf,
     IncompleteReasoningError,
     LineageTooLargeError,
+    QueryArityError,
     UnknownPredicateError,
     collect_lineage,
     phi,

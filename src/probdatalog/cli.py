@@ -16,7 +16,9 @@ Exit codes: 0 ok, 1 parse/input error, 2 resource limit, 3 wmc budget,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from typing import Dict, List, Optional
@@ -26,6 +28,9 @@ from .lineage import (
     Answer,
     Dnf,
     LineageTooLargeError,
+    QueryArityError,
+    UnknownPredicateError,
+    check_query,
     collect_lineage,
     round_bound_snapshot,
 )
@@ -87,12 +92,11 @@ def _resolve_queries(prog: Program, query_arg: Optional[str]) -> List[Atom]:
         raise CliError(
             "parse", "no --query given and the program declares no query(...)", EXIT_PARSE
         )
-    for query in queries:
-        arity = prog.predicates.get(query.predicate)
-        if arity is None:
-            raise CliError("parse", f"unknown predicate {query.predicate.text}", EXIT_PARSE)
-        if arity != query.arity:
-            raise CliError("parse", f"query {query}: predicate arity is {arity}", EXIT_PARSE)
+    try:
+        for query in queries:
+            check_query(prog, query)
+    except (UnknownPredicateError, QueryArityError) as e:
+        raise CliError("parse", str(e), EXIT_PARSE)
     return queries
 
 
@@ -392,19 +396,25 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
     except CliError as e:
-        report = {"error": {"type": e.kind, "message": e.message}}
-        report.update(e.extra)
-        print(json.dumps(report))
-        return e.code
-    if payload is None:
-        return code
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-        return code
-    if args.output == "json":
-        print(json.dumps(payload, sort_keys=True))
+        text = json.dumps({"error": {"type": e.kind, "message": e.message}, **e.extra}) + "\n"
+        code = e.code
     else:
-        print(_render_text(payload, args))
+        if payload is None or isinstance(payload, str):
+            text = payload or ""
+        elif args.output == "json":
+            text = json.dumps(payload, sort_keys=True) + "\n"
+        else:
+            text = _render_text(payload, args) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: an io error.  Python
+        # flushes stdout again at exit, so its descriptor, if it has one (an
+        # in-process stream may not), is pointed at devnull first.
+        with contextlib.suppress(AttributeError, OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
     return code
 
 

@@ -39,6 +39,10 @@ class UnknownPredicateError(ValueError):
     pass
 
 
+class QueryArityError(ValueError):
+    """Raised when a query's arity is not its predicate's in the program."""
+
+
 class IncompleteReasoningError(RuntimeError):
     """Raised when lineage is requested from a truncated reasoning result."""
 
@@ -265,6 +269,15 @@ def round_bound_snapshot(
     }
 
 
+def check_query(prog: Program, query: Atom) -> None:
+    """Raise unless the query's predicate is in the program, with its arity."""
+    arity = prog.predicates.get(query.predicate)
+    if arity is None:
+        raise UnknownPredicateError(f"unknown predicate {query.predicate.text}")
+    if arity != query.arity:
+        raise QueryArityError(f"query {query}: predicate arity is {arity}")
+
+
 def collect_lineage(
     result: "ReasoningResult",
     prog: Program,
@@ -280,9 +293,7 @@ def collect_lineage(
         raise IncompleteReasoningError(
             "reasoning was truncated by a resource limit; lineage would be partial"
         )
-    if query.predicate not in prog.predicates:
-        raise UnknownPredicateError(f"unknown predicate {query.predicate.text}")
-
+    check_query(prog, query)
     index = _entries_by_root(result, result.rounds)
     memo: Dict[int, Dnf] = {}
     return [

@@ -10,12 +10,23 @@ One clause per line, `%` starts a comment:
 
 Constants and predicates are lowercase identifiers, variables start with an
 uppercase letter.  `query` is reserved for the query directive.
+
+One `re.findall` of `_TOKEN_RE` splits a line into token strings.  It skips
+whitespace, and a character no token starts with becomes a token of its own,
+which no clause accepts.  A token's kind follows from its first character
+(`_KIND`), save the tokens in `_PUNCT`, and a recursive descent reads the
+list by index.  No column is kept while parsing: a line that fails is
+scanned again, and the error names the first unexpected character anywhere
+in it, else the token the parser stopped at, by the column it starts in (one
+past the line's end for the end).  Errors about the program as a whole are
+raised once every line has parsed, at the column of the clause's first token.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from string import ascii_lowercase, ascii_uppercase
+from typing import Optional
 
 from .model import (
     Atom,
@@ -42,233 +53,197 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<FLOAT>\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-      | (?P<IDENT>[a-z][A-Za-z0-9_]*)
-      | (?P<VAR>[A-Z][A-Za-z0-9_]*)
-      | (?P<PROB>::)
-      | (?P<ARROW>:-)
-      | (?P<LPAR>\()
-      | (?P<RPAR>\))
-      | (?P<COMMA>,)
-      | (?P<DOT>\.)
+    r"""\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?  # FLOAT
+      | [a-z][A-Za-z0-9_]*   # IDENT
+      | [A-Z][A-Za-z0-9_]*   # VAR
+      | ::|:-|[(),.]         # PROB ARROW LPAR RPAR COMMA DOT
+      | \S                   # a character no token starts with
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Tok:
-    type: str
-    value: str
-    col: int
-
-
-def _tokenize(text: str, line: int) -> list[_Tok]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
-        if m.lastgroup != "WS":
-            toks.append(_Tok(m.lastgroup, m.group(), pos + 1))
-        pos = m.end()
-    toks.append(_Tok("EOF", "", len(text) + 1))
-    return toks
+# A token's kind by its first character.  `\d` matches every decimal digit,
+# not only ASCII ones, as `str.isdecimal` does.
+_KIND = {
+    **dict.fromkeys(ascii_lowercase, "IDENT"),
+    **dict.fromkeys(ascii_uppercase, "VAR"),
+    **dict.fromkeys("0123456789.", "FLOAT"),
+    "(": "LPAR",
+    ")": "RPAR",
+    ",": "COMMA",
+}
+# `.` and `:` start tokens of two kinds each, so these are looked up whole.
+_PUNCT = {".": "DOT", "::": "PROB", ":-": "ARROW"}
+_TERM = {**dict.fromkeys(ascii_lowercase, constant), **dict.fromkeys(ascii_uppercase, variable)}
 
 
-class _Clause:
-    """Raw parse of one line, before program-level checks."""
-
-    def __init__(self, kind, line, col, prob=None, head=None, body=None):
-        self.kind = kind  # "fact" | "rule" | "query"
-        self.line = line
-        self.col = col
-        self.prob = prob
-        self.head = head
-        self.body = body or ()
+def _kind(tok: str) -> Optional[str]:
+    """The token's kind, or None for a character no token starts with."""
+    if tok in _PUNCT:
+        return _PUNCT[tok]
+    return _KIND.get(tok[0]) or ("FLOAT" if tok[0].isdecimal() else None)
 
 
-class _LineParser:
-    def __init__(self, toks: list[_Tok], line: int):
-        self.toks = toks
-        self.line = line
-        self.pos = 0
+class _Unexpected(Exception):
+    """args: (index of the token, what the grammar expects there)."""
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
 
-    def next(self) -> _Tok:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _read(rule, line: str, lineno: int):
+    """`rule` applied to the tokens of `line` and a final "", its end."""
+    toks = _TOKEN_RE.findall(line)
+    toks.append("")
+    try:
+        return rule(toks)
+    except _Unexpected as e:
+        index, expected = e.args
+    matches = list(_TOKEN_RE.finditer(line))
+    for m in matches:
+        if _kind(m.group()) is None:
+            raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
+    found, col = "", len(line) + 1
+    if index < len(matches):
+        found, col = matches[index].group(), matches[index].start() + 1
+    raise ParseError(f"expected {expected} but found {found!r}", lineno, col)
 
-    def expect(self, type_: str) -> _Tok:
-        tok = self.next()
-        if tok.type != type_:
-            raise ParseError(
-                f"expected {type_} but found {tok.value!r}", self.line, tok.col
-            )
-        return tok
 
-    def atom(self) -> Atom:
-        tok = self.expect("IDENT")
-        pred = tok.value
-        args: list = []
-        if self.peek().type == "LPAR":
-            self.next()
-            while True:
-                term = self.next()
-                if term.type == "IDENT":
-                    args.append(constant(term.value))
-                elif term.type == "VAR":
-                    args.append(variable(term.value))
-                else:
-                    raise ParseError(
-                        f"expected term but found {term.value!r}", self.line, term.col
-                    )
-                sep = self.next()
-                if sep.type == "RPAR":
-                    break
-                if sep.type != "COMMA":
-                    raise ParseError(
-                        f"expected ',' or ')' but found {sep.value!r}",
-                        self.line,
-                        sep.col,
-                    )
-        return Atom(predicate(pred), tuple(args))
+def _atom(toks: list[str], i: int) -> tuple[Atom, int]:
+    """The atom at token `i`, and the index of the token after it."""
+    name = toks[i]
+    if _KIND.get(name[:1]) != "IDENT":
+        raise _Unexpected(i, "IDENT")
+    if toks[i + 1] != "(":
+        return Atom(predicate(name)), i + 1
+    args = []
+    i += 2
+    while True:
+        make = _TERM.get(toks[i][:1])
+        if make is None:
+            raise _Unexpected(i, "term")
+        args.append(make(toks[i]))
+        if toks[i + 1] == ")":
+            return Atom(predicate(name), tuple(args)), i + 2
+        if toks[i + 1] != ",":
+            raise _Unexpected(i + 1, "',' or ')'")
+        i += 2
 
-    def clause(self) -> _Clause:
-        start = self.peek()
-        prob = None
-        if start.type == "FLOAT":
-            self.next()
-            prob = float(start.value)
-            self.expect("PROB")
-        if (
-            prob is None
-            and self.peek().type == "IDENT"
-            and self.peek().value == "query"
-        ):
-            self.next()
-            self.expect("LPAR")
-            q = self.atom()
-            self.expect("RPAR")
-            self.expect("DOT")
-            self.expect("EOF")
-            return _Clause("query", self.line, start.col, head=q)
-        head = self.atom()
-        tok = self.next()
-        if tok.type == "DOT":
-            self.expect("EOF")
-            return _Clause("fact", self.line, start.col, prob=prob, head=head)
-        if tok.type != "ARROW":
-            raise ParseError(
-                f"expected ':-' or '.' but found {tok.value!r}", self.line, tok.col
-            )
-        body = [self.atom()]
-        while True:
-            tok = self.next()
-            if tok.type == "DOT":
-                break
-            if tok.type != "COMMA":
-                raise ParseError(
-                    f"expected ',' or '.' but found {tok.value!r}", self.line, tok.col
-                )
-            body.append(self.atom())
-        self.expect("EOF")
-        return _Clause("rule", self.line, start.col, prob=prob, head=head, body=tuple(body))
+
+def _end(toks: list[str], i: int) -> None:
+    """Token `i` is a `.` that ends the line."""
+    if toks[i] != ".":
+        raise _Unexpected(i, "DOT")
+    if toks[i + 1]:
+        raise _Unexpected(i + 1, "EOF")
+
+
+def _clause(toks: list[str]) -> tuple:
+    """(kind, probability or None, head, body), kind "fact", "rule" or "query"."""
+    prob = None
+    i = 0
+    if _kind(toks[0]) == "FLOAT":
+        prob = float(toks[0])
+        if toks[1] != "::":
+            raise _Unexpected(1, "PROB")
+        i = 2
+    elif toks[0] == "query":
+        if toks[1] != "(":
+            raise _Unexpected(1, "LPAR")
+        head, i = _atom(toks, 2)
+        if toks[i] != ")":
+            raise _Unexpected(i, "RPAR")
+        _end(toks, i + 1)
+        return "query", None, head, ()
+    head, i = _atom(toks, i)
+    if toks[i] == ".":
+        _end(toks, i)
+        return "fact", prob, head, ()
+    if toks[i] != ":-":
+        raise _Unexpected(i, "':-' or '.'")
+    body = []
+    while True:
+        a, i = _atom(toks, i + 1)
+        body.append(a)
+        if toks[i] == ".":
+            _end(toks, i)
+            return "rule", prob, head, tuple(body)
+        if toks[i] != ",":
+            raise _Unexpected(i, "',' or '.'")
+
+
+def _whole_atom(toks: list[str]) -> Atom:
+    a, i = _atom(toks, 0)
+    if toks[i]:
+        raise _Unexpected(i, "EOF")
+    return a
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a query passed on the command line."""
-    p = _LineParser(_tokenize(text, 1), 1)
-    a = p.atom()
-    p.expect("EOF")
-    return a
+    return _read(_whole_atom, text, 1)
+
+
+def _problem(kind, prob, head, body, lineno, arities, fact_lines) -> Optional[str]:
+    """What is wrong with a clause given the clauses before it, if anything:
+    a predicate has one arity, and a fact is ground and given once (one
+    variable, one probability)."""
+    if prob is not None and not 0.0 < prob <= 1.0:
+        return f"probability {prob} outside (0,1]"
+    for a in (head, *body):
+        seen = arities.setdefault(a.predicate, a.arity)
+        if seen != a.arity:
+            return f"predicate {a.predicate.text}/{a.arity} conflicts with earlier arity {seen}"
+    if kind == "fact":
+        if not head.is_ground:
+            return f"fact {head} is not ground"
+        first = fact_lines.setdefault(head, lineno)
+        if first != lineno:
+            return f"fact {head} is already given on line {first}"
+    elif kind == "rule":
+        unsafe = check_safety(head, body)
+        if unsafe is not None:
+            return f"head variable {unsafe.text} does not occur in the body"
+    return None
 
 
 def parse_program(text: str) -> Program:
-    clauses: list[_Clause] = []
+    clauses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0]
-        if not line.strip():
-            continue
-        parser = _LineParser(_tokenize(line, lineno), lineno)
-        clauses.append(parser.clause())
+        if line.strip():
+            clauses.append((lineno, line, *_read(_clause, line, lineno)))
 
-    # Arity is fixed per predicate across the whole program.
-    arities: dict[str, int] = {}
-
-    def check_arity(a: Atom, clause: _Clause) -> None:
-        seen = arities.setdefault(a.predicate.text, a.arity)
-        if seen != a.arity:
-            raise ParseError(
-                f"predicate {a.predicate.text}/{a.arity} conflicts with "
-                f"earlier arity {seen}",
-                clause.line,
-                clause.col,
-            )
-
-    taken_names = set()
-    for c in clauses:
-        if c.head is not None:
-            taken_names.add(c.head.predicate.text)
-        for a in c.body:
-            taken_names.add(a.predicate.text)
-
+    arities: dict = {}
+    fact_lines: dict[Atom, int] = {}
     rules: list[Rule] = []
     facts: list[ProbFact] = []
     queries: list[Atom] = []
-    fact_lines: dict[Atom, int] = {}  # one variable, one probability per fact
+    taken_names: Optional[set[str]] = None
     aux_count = 0
-
-    for c in clauses:
-        if c.kind == "query":
-            check_arity(c.head, c)
-            queries.append(c.head)
-            continue
-        if c.prob is not None and not 0.0 < c.prob <= 1.0:
-            raise ParseError(
-                f"probability {c.prob} outside (0,1]", c.line, c.col
-            )
-        if c.kind == "fact":
-            check_arity(c.head, c)
-            if not c.head.is_ground:
-                raise ParseError(
-                    f"fact {c.head} is not ground", c.line, c.col
+    for lineno, line, kind, prob, head, body in clauses:
+        problem = _problem(kind, prob, head, body, lineno, arities, fact_lines)
+        if problem is not None:
+            raise ParseError(problem, lineno, _TOKEN_RE.search(line).start() + 1)
+        if kind == "query":
+            queries.append(head)
+        elif kind == "fact":
+            facts.append(ProbFact(head, 1.0 if prob is None else prob, len(facts)))
+        else:
+            rule = Rule(len(rules), head, body)
+            if prob is not None:
+                if taken_names is None:
+                    # Dummy predicates are named apart from each other and
+                    # from every predicate of the program, later clauses' too.
+                    taken_names = {a.predicate.text for c in clauses for a in (c[4], *c[5])}
+                rule, dummy = desugar_rule_probability(
+                    rule,
+                    prob,
+                    taken_names=taken_names,
+                    aux_index=aux_count,
+                    var=len(facts),
                 )
-            first = fact_lines.setdefault(c.head, c.line)
-            if first != c.line:
-                raise ParseError(f"fact {c.head} is already given on line {first}", c.line, c.col)
-            prob = 1.0 if c.prob is None else c.prob
-            facts.append(ProbFact(c.head, prob, len(facts)))
-            continue
-        # rule
-        check_arity(c.head, c)
-        for a in c.body:
-            check_arity(a, c)
-        unsafe = check_safety(c.head, c.body)
-        if unsafe is not None:
-            raise ParseError(
-                f"head variable {unsafe.text} does not occur in the body",
-                c.line,
-                c.col,
-            )
-        rule = Rule(len(rules), c.head, c.body)
-        if c.prob is not None:
-            rule, dummy = desugar_rule_probability(
-                rule,
-                c.prob,
-                taken_names=taken_names,
-                aux_index=aux_count,
-                var=len(facts),
-            )
-            taken_names.add(dummy.fact.predicate.text)
-            aux_count += 1
-            facts.append(dummy)
-        rules.append(rule)
+                taken_names.add(dummy.fact.predicate.text)
+                aux_count += 1
+                facts.append(dummy)
+            rules.append(rule)
 
     return Program(tuple(rules), tuple(facts), tuple(queries))
 

@@ -1,5 +1,11 @@
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +183,32 @@ class TestRun:
 
 
 class TestErrors:
+    def test_closed_stdout_exits_1_without_a_traceback(self, capsys, monkeypatch, running_file):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["oracle", "--program", running_file, "--output", "json"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_without_reader_exits_1_quietly(self):
+        # Python flushes stdout again at exit; that flush must not fail too.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from probdatalog.cli import main; sys.exit(main())",
+                 "gen", "--kind", "chain", "--nodes", "4"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.pl"
         bad.write_text("p(X,Y :- e(X,Y).")

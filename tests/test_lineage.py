@@ -20,6 +20,7 @@ from probdatalog import (
     TRUE,
     Dnf,
     LineageTooLargeError,
+    QueryArityError,
     ReasonerOptions,
     UnknownPredicateError,
     collapse,
@@ -274,6 +275,12 @@ class TestCollectLineage:
         result = run_pr(running_prog)
         with pytest.raises(UnknownPredicateError):
             collect_lineage(result, running_prog, parse_atom("nosuch(X)"))
+
+    def test_query_with_another_arity(self, running_prog):
+        result = run_pr(running_prog)
+        with pytest.raises(ValueError, match=r"^query p\(X\): predicate arity is 2$") as err:
+            collect_lineage(result, running_prog, parse_atom("p(X)"))
+        assert err.type is QueryArityError
 
     def test_underivable_predicate_yields_no_answers(self):
         prog = normalize(

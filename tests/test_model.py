@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -163,6 +164,62 @@ class TestParser:
     def test_round_trip_corpus(self, seed):
         prog = parse_program(random_program_text(seed))
         assert parse_program(serialize(prog)) == prog
+
+    # (text, line, column, message) of malformed programs.  An unexpected
+    # character anywhere in a line is reported before an earlier grammar
+    # error, the end of a line is one column past its last character, and
+    # `\d` matches non-ASCII digits.
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ("p(X Y) :- e(X;Y).", 1, 14, "unexpected character ';'"),
+            ("\u0663::e(a).", 1, 1, "probability 3.0 outside (0,1]"),
+            ("e(a)", 1, 5, "expected ':-' or '.' but found ''"),
+            ("e(a). e(b).", 1, 7, "expected EOF but found 'e'"),
+            ("query(p(a)", 1, 11, "expected RPAR but found ''"),
+            ("query p(a).", 1, 7, "expected LPAR but found 'p'"),
+            ("query(p(a)).x", 1, 13, "expected EOF but found 'x'"),
+            ("0.5:e(a).", 1, 4, "unexpected character ':'"),
+            ("0.5 e(a).", 1, 5, "expected PROB but found 'e'"),
+            ("p(a,", 1, 5, "expected term but found ''"),
+            ("p(a b).", 1, 5, "expected ',' or ')' but found 'b'"),
+            ("P(a).", 1, 1, "expected IDENT but found 'P'"),
+            ("p(X) :- e(X) e(Y).", 1, 14, "expected ',' or '.' but found 'e'"),
+            ("p(a).5", 1, 5, "expected ':-' or '.' but found '.5'"),
+            ("p(_x).", 1, 3, "unexpected character '_'"),
+            ("p(\u00e9).", 1, 3, "unexpected character '\u00e9'"),
+            ("0.5::p(X) :- e(X) % no dot", 1, 19, "expected ',' or '.' but found ''"),
+            ("p(a\nq(b;", 1, 4, "expected ',' or ')' but found ''"),
+            ("  1.5::e(a).", 1, 3, "probability 1.5 outside (0,1]"),
+            ("e(a).\n\te(a,b).", 2, 2, "predicate e/2 conflicts with earlier arity 1"),
+            ("e(a).\n0.5::e(a).", 2, 1, "fact e(a) is already given on line 1"),
+        ],
+    )
+    def test_error_positions(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+    @pytest.mark.parametrize(
+        "text, col, message",
+        [("p(a) x", 6, "expected EOF but found 'x'"), ("", 1, "expected IDENT but found ''")],
+    )
+    def test_atom_error_positions(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_atom(text)
+        assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_whitespace_between_tokens_is_ignored(self, seed, rng):
+        text = random_program_text(seed)
+        spaces = [" ", "\t", "  ", "\u00a0", "\u3000"]
+        spaced = []
+        for line in text.splitlines():
+            # every piece is a whole token: the separators, and the words between them
+            pieces = [t for t in re.split(r"(::|:-|[(),]|\.$)", line) if t]
+            spaced.append("".join(rng.choice(["", *spaces]) + t for t in pieces) + rng.choice(spaces))
+        assert parse_program("\n".join(spaced)) == parse_program(text)
 
 
 class TestDesugar:
