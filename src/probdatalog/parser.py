@@ -13,9 +13,9 @@ uppercase letter.  `query` is reserved for the query directive.
 
 One `re.findall` of `_TOKEN_RE` splits a line into token strings.  It skips
 whitespace, and a character no token starts with becomes a token of its own,
-which no clause accepts.  A token's kind follows from its first character
-(`_KIND`), save the tokens in `_PUNCT`, and a recursive descent reads the
-list by index.  No column is kept while parsing: a line that fails is
+which no clause accepts.  A recursive descent reads the list by index and
+tells tokens apart by their text or, for terms, by their first character
+(`_TERM`).  No column is kept while parsing: a line that fails is
 scanned again, and the error names the first unexpected character anywhere
 in it, else the token the parser stopped at, by the column it starts in (one
 past the line's end for the end).  Errors about the program as a whole are
@@ -62,26 +62,17 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# A token's kind by its first character.  `\d` matches every decimal digit,
-# not only ASCII ones, as `str.isdecimal` does.
-_KIND = {
-    **dict.fromkeys(ascii_lowercase, "IDENT"),
-    **dict.fromkeys(ascii_uppercase, "VAR"),
-    **dict.fromkeys("0123456789.", "FLOAT"),
-    "(": "LPAR",
-    ")": "RPAR",
-    ",": "COMMA",
-}
-# `.` and `:` start tokens of two kinds each, so these are looked up whole.
-_PUNCT = {".": "DOT", "::": "PROB", ":-": "ARROW"}
 _TERM = {**dict.fromkeys(ascii_lowercase, constant), **dict.fromkeys(ascii_uppercase, variable)}
 
 
-def _kind(tok: str) -> Optional[str]:
-    """The token's kind, or None for a character no token starts with."""
-    if tok in _PUNCT:
-        return _PUNCT[tok]
-    return _KIND.get(tok[0]) or ("FLOAT" if tok[0].isdecimal() else None)
+def _is_float(tok: str) -> bool:
+    # `\d` matches every decimal digit, not only ASCII ones, as `str.isdecimal` does.
+    return tok[:1].isdecimal() or (tok[:1] == "." and tok != ".")
+
+
+def _is_bad(tok: str) -> bool:
+    """`tok` is a character no token starts with."""
+    return len(tok) == 1 and tok not in "(),." and tok not in _TERM and not tok.isdecimal()
 
 
 class _Unexpected(Exception):
@@ -98,7 +89,7 @@ def _read(rule, line: str, lineno: int):
         index, expected = e.args
     matches = list(_TOKEN_RE.finditer(line))
     for m in matches:
-        if _kind(m.group()) is None:
+        if _is_bad(m.group()):
             raise ParseError(f"unexpected character {m.group()!r}", lineno, m.start() + 1)
     found, col = "", len(line) + 1
     if index < len(matches):
@@ -109,7 +100,7 @@ def _read(rule, line: str, lineno: int):
 def _atom(toks: list[str], i: int) -> tuple[Atom, int]:
     """The atom at token `i`, and the index of the token after it."""
     name = toks[i]
-    if _KIND.get(name[:1]) != "IDENT":
+    if _TERM.get(name[:1]) is not constant:
         raise _Unexpected(i, "IDENT")
     if toks[i + 1] != "(":
         return Atom(predicate(name)), i + 1
@@ -139,7 +130,7 @@ def _clause(toks: list[str]) -> tuple:
     """(kind, probability or None, head, body), kind "fact", "rule" or "query"."""
     prob = None
     i = 0
-    if _kind(toks[0]) == "FLOAT":
+    if _is_float(toks[0]):
         prob = float(toks[0])
         if toks[1] != "::":
             raise _Unexpected(1, "PROB")
@@ -216,7 +207,9 @@ def parse_program(text: str) -> Program:
     rules: list[Rule] = []
     facts: list[ProbFact] = []
     queries: list[Atom] = []
-    taken_names: Optional[set[str]] = None
+    # Dummy predicates are named apart from each other and from every
+    # predicate of the program, later clauses' too.
+    taken_names = {a.predicate.text for c in clauses for a in (c[4], *c[5])}
     aux_count = 0
     for lineno, line, kind, prob, head, body in clauses:
         problem = _problem(kind, prob, head, body, lineno, arities, fact_lines)
@@ -229,10 +222,6 @@ def parse_program(text: str) -> Program:
         else:
             rule = Rule(len(rules), head, body)
             if prob is not None:
-                if taken_names is None:
-                    # Dummy predicates are named apart from each other and
-                    # from every predicate of the program, later clauses' too.
-                    taken_names = {a.predicate.text for c in clauses for a in (c[4], *c[5])}
                 rule, dummy = desugar_rule_probability(
                     rule,
                     prob,
