@@ -110,8 +110,6 @@ def _compute_probability(dnf: Dnf, weights, solver: str) -> float:
         return prob_fn(dnf, weights)
     except (WmcBudgetError, TooManyVariablesError) as e:
         raise CliError("wmc", str(e), EXIT_WMC)
-    except RecursionError as e:
-        raise CliError("wmc", f"lineage too deep for the solver: {e}", EXIT_WMC)
 
 
 def _reason(engine: str, prog: Program, args, collapse: str) -> ReasoningResult:

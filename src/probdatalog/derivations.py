@@ -194,6 +194,9 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
     own verdict, cached on the entry; with some and an OR-free DAG, it has
     one unfolding, which repeats them; otherwise by a memoized walk.
     """
+    verdict = getattr(entry, "_verdict", None)
+    if verdict is not None:  # every candidate built under `prune` has one
+        return not verdict
     memo: Dict[tuple, bool] = {}
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:

@@ -28,7 +28,7 @@ class SymbolKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """Interned symbol; build through `intern_symbol` only."""
+    """Interned symbol; build through `constant`, `variable` or `predicate`."""
 
     kind: SymbolKind
     id: int
@@ -41,30 +41,25 @@ class Symbol:
         return f"{self.kind.value[:5]}:{self.text}"
 
 
-# Intern tables, one per kind.  Same text within a kind always yields the
-# same Symbol object, so (kind, id) <-> text is bijective.
-_TABLES: dict[SymbolKind, dict[str, Symbol]] = {k: {} for k in SymbolKind}
+def _interner(kind: SymbolKind) -> Callable[[str], Symbol]:
+    """The intern function of one kind, over its own table.  Same text
+    within a kind always yields the same Symbol object, so (kind, id) <->
+    text is bijective.  No lookup hashes the kind (`Enum.__hash__` is
+    Python code)."""
+    table: dict[str, Symbol] = {}
+
+    def intern(text: str) -> Symbol:
+        sym = table.get(text)
+        if sym is None:
+            sym = table[text] = Symbol(kind, len(table), text)
+        return sym
+
+    return intern
 
 
-def intern_symbol(kind: SymbolKind, text: str) -> Symbol:
-    table = _TABLES[kind]
-    sym = table.get(text)
-    if sym is None:
-        sym = Symbol(kind, len(table), text)
-        table[text] = sym
-    return sym
-
-
-def constant(text: str) -> Symbol:
-    return intern_symbol(SymbolKind.CONSTANT, text)
-
-
-def variable(text: str) -> Symbol:
-    return intern_symbol(SymbolKind.VARIABLE, text)
-
-
-def predicate(text: str) -> Symbol:
-    return intern_symbol(SymbolKind.PREDICATE, text)
+constant = _interner(SymbolKind.CONSTANT)
+variable = _interner(SymbolKind.VARIABLE)
+predicate = _interner(SymbolKind.PREDICATE)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -1,16 +1,24 @@
 """Exact probability of monotone DNF lineage under tuple independence.
 
-`probability` is a knowledge-compilation style solver: it conditions away
-certain variables, splits variable-disjoint components, and otherwise
-Shannon-expands on the most frequent variable, memoizing residual
-formulas.  A clause is an int bitmask over the variables renumbered in id
+`probability` evaluates closed forms first, as a d-tree does (Olteanu,
+Huang & Koch, ICDE 2010): one clause is the product of its weights,
+multiplied highest variable first, and variable-disjoint clauses combine
+as 1 - prod(1 - p) in log space.  Any other formula goes to a search that
+conditions away certain variables, splits variable-disjoint components,
+and otherwise Shannon-expands on the most frequent variable, memoizing
+residual formulas; a residual or component of one clause is again a
+product.  A clause is an int bitmask over the variables renumbered in id
 order, and a residual formula is the ascending tuple of its distinct
 masks, so the tuple is its own memo key.  Setting x true needs only cross
 absorption: a shortened clause c - {x} may swallow a clause that never
 held x.  Components come from a sweep in mask order, or, if its runs
-overlap, from closures grown from the smallest clause left.  The memo is
-released on return.  `brute_force_probability` enumerates possible worlds
-literally as the independent oracle; only it imports numpy (about 14 MB).
+overlap, from closures grown from the smallest clause left; a component is
+connected, so it is not split again.  The search runs on a stack of frames
+and a stack of values, so no call recurses and the recursion limit does
+not bound it; a path-shaped DNF still costs time quadratic in its length.
+The memo is released on return.  `brute_force_probability` enumerates
+possible worlds literally as the independent oracle; only it imports
+numpy (about 14 MB).
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ DEFAULT_STEP_BUDGET = 2_000_000
 DEFAULT_MEMO_CAP = 1_000_000
 BRUTE_FORCE_MAX_VARS = 25
 _CHUNK = 1 << 20
+_SPLIT, _SOLVE, _OR, _SHANNON = range(4)  # the kinds of solver frames
 
 
 class WmcBudgetError(RuntimeError):
-    """Raised when the solver exceeds its recursion budget."""
+    """Raised when the solver exceeds its expansion budget."""
 
 
 class UnweightedVariableError(ValueError):
@@ -84,6 +93,12 @@ def _components(clauses: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return groups
 
 
+def _independent_or(ps: List[float]) -> float:
+    """Pr of a disjunction of independent parts: 1 - prod(1 - p) in log
+    space, which keeps relative accuracy for small p."""
+    return 1.0 if max(ps) >= 1.0 else -math.expm1(math.fsum(math.log1p(-p) for p in ps))
+
+
 def probability(
     d: Dnf,
     weights: Mapping[int, float],
@@ -91,38 +106,61 @@ def probability(
 ) -> float:
     """Exact Pr[d] when each variable is independently true with its weight."""
     _check_weights(d, weights)
-    bit = {v: 1 << i for i, v in enumerate(sorted(d.variables))}
-    w = {bit[v]: weights[v] for v in d.variables}
+    # A weight of 1 or more is certain, so every product may take it as 1.
+    if d.clauses and len(d.variables) == sum(map(len, d.clauses)):  # disjoint
+        ps = [
+            math.prod([min(weights[v], 1.0) for v in sorted(c, reverse=True)], start=1.0)
+            for c in d.clauses
+        ]
+        return min(max(ps[0] if len(ps) == 1 else _independent_or(ps), 0.0), 1.0)
+    order = sorted(d.variables)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    w = [min(weights[v], 1.0) for v in order]  # by bit position
     bits = _Bits()
     memo: Dict[Tuple[int, ...], float] = {}  # stops growing at DEFAULT_MEMO_CAP
     steps = 0
-
-    def pr(clauses: Tuple[int, ...]) -> float:  # distinct masks, ascending
-        nonlocal steps
-        if not clauses:
-            return 0.0
-        if clauses[0] == 0:
-            return 1.0
-        cached = memo.get(clauses)
-        if cached is not None:
-            return cached
-        steps += 1
-        if steps > max_steps:
-            raise WmcBudgetError(f"wmc budget exceeded ({max_steps} expansions)")
-
-        comps = _components(clauses) if len(clauses) > 1 else ()
-        if len(comps) > 1:
-            # 1 - prod(1 - p) in log space keeps relative accuracy for small p
-            ps = [pr(comp) for comp in comps]
-            out = 1.0 if max(ps) >= 1.0 else -math.expm1(math.fsum(math.log1p(-p) for p in ps))
+    vals: List[float] = []  # the values of the residuals solved so far
+    # Frames: (_SPLIT or _SOLVE, residual, None) asks for Pr[residual], whose
+    # components are not yet known or are known to be one; (_OR, residual, n)
+    # and (_SHANNON, residual, weight) combine the values of its last parts.
+    todo: list = [(_SPLIT, tuple(sorted({sum(bit[v] for v in c) for c in d.clauses})), None)]
+    while todo:
+        kind, clauses, arg = todo.pop()
+        if kind == _OR or kind == _SHANNON:  # its parts are solved
+            if kind == _OR:
+                out = _independent_or(vals[-arg:])
+                del vals[-arg:]
+            else:
+                out = vals.pop()
+                if arg < 1.0:  # out is Pr[without]; Pr[true] lies below it
+                    out = arg * vals.pop() + (1.0 - arg) * out
+            if len(memo) < DEFAULT_MEMO_CAP:
+                memo[clauses] = out
+            vals.append(out)
+        elif not clauses:
+            vals.append(0.0)
+        elif len(clauses) == 1 or clauses[0] == 0:  # a conjunction, or true
+            m, out = clauses[0], 1.0
+            while m:  # highest variable first, the nesting Shannon expansion gave
+                i = m.bit_length() - 1
+                out *= w[i]
+                m ^= 1 << i
+            vals.append(out)
+        elif (cached := memo.get(clauses)) is not None:
+            vals.append(cached)
         else:
-            if len(clauses) == 1:  # every count is 1, so branch on the lowest bit
-                b = (m := clauses[0]) & -m
-                true, without = (m ^ b,), ()
+            steps += 1
+            if steps > max_steps:
+                raise WmcBudgetError(f"wmc budget exceeded ({max_steps} expansions)")
+            comps = _components(clauses) if kind == _SPLIT else ()
+            if len(comps) > 1:
+                todo.append((_OR, clauses, len(comps)))
+                todo.extend([(_SOLVE, comp, None) for comp in reversed(comps)])
             else:
                 counts = Counter(chain.from_iterable(map(bits.__getitem__, clauses)))
                 top = max(counts.values())
-                b = 1 << min([p for p, n in counts.items() if n == top])
+                pos = min([i for i, n in counts.items() if n == top])
+                b = 1 << pos
                 without = tuple([m for m in clauses if not m & b])
                 shortened = [m ^ b for m in clauses if m & b]  # still ascending
                 # only a shortened clause can swallow, and only an unshortened one
@@ -130,18 +168,11 @@ def probability(
                 for r in [r for r in shortened if not r & ~union]:
                     kept = [u for u in kept if u & r != r]
                 true = tuple(sorted(shortened + list(kept)))  # a merge of two runs
-            if w[b] >= 1.0:
-                out = pr(true)
-            else:
-                out = w[b] * pr(true) + (1.0 - w[b]) * pr(without)
-        if len(memo) < DEFAULT_MEMO_CAP:
-            memo[clauses] = out
-        return out
-
-    try:
-        return min(max(pr(tuple(sorted({sum(bit[v] for v in c) for c in d.clauses}))), 0.0), 1.0)
-    finally:
-        del pr  # pr refers to itself; breaking that cycle frees the memo now
+                todo.append((_SHANNON, clauses, w[pos]))
+                if w[pos] < 1.0:
+                    todo.append((_SPLIT, without, None))
+                todo.append((_SPLIT, true, None))  # solved first
+    return min(max(vals[0], 0.0), 1.0)
 
 
 def brute_force_probability(

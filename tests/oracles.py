@@ -8,8 +8,9 @@ definitions the package computes more cleverly: k-compatible parent tuples
 and the unpruned graph growth built on them, the per-node join that grounds
 a node's body against its sources' root facts, the unfoldings of a collapsed
 derivation, the lineage of a stored derivation, the paper's root-only
-redundancy rule, DNF evaluation and conditioning, truth tables, and the
-variable-disjoint components of a clause set.
+redundancy rule, the probability of a path DNF, DNF evaluation and
+conditioning, truth tables, and the variable-disjoint components of a
+clause set.
 """
 
 from fractions import Fraction
@@ -145,6 +146,18 @@ def exact_probability(clauses, weights) -> Fraction:
         )
 
     return worlds(0, frozenset(), Fraction(1))
+
+
+def path_probability(weights) -> Fraction:
+    """Pr[x0 x1 or x1 x2 or ... or x(n-1) xn] exactly, for the weights of
+    x0..xn: one minus the two-state transfer-matrix recursion for Pr[no two
+    consecutive variables true]."""
+    p0 = Fraction(weights[0])
+    last_false, last_true = 1 - p0, p0
+    for v in range(1, len(weights)):
+        p = Fraction(weights[v])
+        last_false, last_true = (last_false + last_true) * (1 - p), last_false * p
+    return 1 - last_false - last_true
 
 
 # ---------------------------------------------------------------------------
