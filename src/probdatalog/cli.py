@@ -6,8 +6,9 @@ probability check).  `run`, `oracle` and `compare` share one answer
 pipeline, `_answers`: reason with one engine, collect the answers matching
 the query, compute their probabilities (and per-round bounds).  Each
 subcommand accepts only the flags it reads.  Reports are emitted as JSON or
-text; errors are always machine-readable JSON on stdout, and a query on a
-predicate the program does not mention is an input error for every engine.
+text; errors, argument errors included, are always machine-readable JSON on
+stdout, and a query on a predicate the program does not mention is an input
+error for every engine.
 
 Exit codes: 0 ok, 1 parse/input error, 2 resource limit, 3 wmc budget,
 4 compare mismatch.
@@ -348,8 +349,13 @@ FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # JSON, like every other failure, not exit 2
+        raise CliError("usage", f"{self.prog}: {message}", EXIT_PARSE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probdatalog",
         description="Exact probabilistic Datalog reasoning over tuple-independent facts",
     )
@@ -390,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload, code = args.func(args)
     except CliError as e:
         text = json.dumps({"error": {"type": e.kind, "message": e.message}, **e.extra}) + "\n"

@@ -9,16 +9,17 @@ materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
 
 Graph growth hands each node its groundings, so instantiation joins
-nothing.  An entry's DAG never changes, so an entry caches in slots its
-cone of facts, OR-freeness, own redundancy verdict and lineage clause, and
-a store whether all its entries are OR-free: on such stores instantiation
-rejects redundant candidates unbuilt, yet `allocated` counts them all.
+nothing.  An entry sets its OR-freeness and lineage clause when built, and
+caches its cone of facts and own redundancy verdict when first read; a
+leaf answers all four alike.  A store caches whether all its entries are
+OR-free, as the database is: on such stores instantiation rejects
+redundant candidates unbuilt, yet `allocated` counts them all.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
@@ -32,24 +33,43 @@ class Label(Enum):
     OR = "or"
 
 
+# One shared empty set: `frozenset()` builds a new object on every call.
+EMPTY: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class Leaf:
-    """A database fact at the fringe of a derivation, by variable id."""
+    """A database fact at the fringe of a derivation, by variable id.  It
+    answers like an entry: no fact in its cone, no OR, clean, one clause."""
 
     var: int
+    _clause: frozenset = field(init=False, repr=False, compare=False)
+    _cone, _or_free, _verdict = EMPTY, True, True
+
+    def __post_init__(self):
+        object.__setattr__(self, "_clause", frozenset((self.var,)))
 
 
 @dataclass(eq=False, slots=True)
 class DerivationEntry:
+    """One stored derivation.  Its OR-freeness and clause (None with an OR
+    in its DAG) are set when built; `clauses` makes equal clauses one object."""
+
     root: Atom
     label: Label
     # repr=False: a child's repr spells out its whole unfolded tree
     children: tuple["Child", ...] = field(repr=False)
     home: int  # owning execution-graph node
+    clauses: InitVar[Optional[dict]] = None
     _cone: frozenset = field(init=False, repr=False)
     _or_free: bool = field(init=False, repr=False)
     _verdict: bool = field(init=False, repr=False)
     _clause: Optional[frozenset] = field(init=False, repr=False)
+
+    def __post_init__(self, clauses):
+        self._or_free = self.label is Label.AND and all(c._or_free for c in self.children)
+        clause = EMPTY.union(*[c._clause for c in self.children]) if self._or_free else None
+        self._clause = clause if clauses is None else clauses.setdefault(clause, clause)
 
 
 Child = Union[Leaf, DerivationEntry]
@@ -81,6 +101,8 @@ class FactIndex:
     """The database as the depth-0 store: `by_root` maps each fact to its
     one leaf, as a node store maps a root fact to its entries, and
     `by_pred` lists the facts of each predicate in lexicographic order."""
+
+    or_free = True
 
     def __init__(self, facts: Iterable[ProbFact]):
         self.by_root: Dict[Atom, List[Leaf]] = {}
@@ -116,11 +138,11 @@ def instantiate_node(
     one entry, with leaf children.
 
     With `prune`, for a caller that keeps only non-redundant candidates,
-    a non-base node on OR-free parent stores builds only candidates whose
-    root lies in no child's cone, with their verdict cached: a stored
-    plain child repeats no fact on any path, so that is
-    `is_hereditarily_redundant`.  `allocated` counts every
-    candidate, built or rejected, so pruning never moves a budget trip.
+    a node on OR-free sources builds only candidates whose root lies in
+    no child's cone, with their verdict cached: a stored plain child
+    repeats no fact on any path, so that is `is_hereditarily_redundant`.
+    `allocated` counts every candidate, built or rejected, so pruning
+    never moves a budget trip.  Equal clauses built here are one object.
     """
     out: Dict[Atom, List[DerivationEntry]] = {}
     result = InstantiationResult(out)
@@ -128,9 +150,8 @@ def instantiate_node(
         sources = [facts] * len(node.rule.body)
     else:
         sources = [stores[p] for p in node.parents]
-    prune = prune and node.rule.kind is RuleKind.NONBASE and all(
-        s.or_free for s in sources
-    )
+    prune = prune and all(s.or_free for s in sources)
+    clauses: dict = {}
     for root, chosen in groundings:
         result.substitutions += 1
         entry_lists = [s.by_root[f] for f, s in zip(chosen, sources)]
@@ -142,13 +163,13 @@ def instantiate_node(
                     f"entry budget exceeded while instantiating node {node.id}"
                 )
             if not prune:
-                bucket.append(DerivationEntry(root, Label.AND, combo, node.id))
+                bucket.append(DerivationEntry(root, Label.AND, combo, node.id, clauses))
                 continue
             for c in combo:
                 if root in c._cone:
                     break
             else:
-                entry = DerivationEntry(root, Label.AND, combo, node.id)
+                entry = DerivationEntry(root, Label.AND, combo, node.id, clauses)
                 entry._verdict = True  # no path repeats a fact
                 bucket.append(entry)
     return result
@@ -158,21 +179,11 @@ def instantiate_node(
 # Redundancy
 # ---------------------------------------------------------------------------
 
-# One shared empty set: `frozenset()` builds a new object on every call.
-EMPTY: frozenset = frozenset()
-
-
 def _atom_cone(x: Child) -> frozenset[Atom]:
-    """Facts occurring anywhere in an entry's DAG (cached, with `_or_free`)."""
-    if isinstance(x, Leaf):
-        return EMPTY
+    """Facts occurring anywhere in an entry's DAG (cached)."""
     cached = getattr(x, "_cone", None)
     if cached is None:
-        cached = frozenset({x.root}).union(*(_atom_cone(c) for c in x.children))
-        x._cone = cached
-        x._or_free = x.label is Label.AND and all(
-            getattr(c, "_or_free", True) for c in x.children
-        )
+        cached = x._cone = frozenset({x.root}).union(*(_atom_cone(c) for c in x.children))
     return cached
 
 
@@ -200,8 +211,6 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
     memo: Dict[tuple, bool] = {}
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
-        if isinstance(x, Leaf):
-            return True
         relevant = ancestors and ancestors & _atom_cone(x)
         if relevant and x._or_free:
             return False

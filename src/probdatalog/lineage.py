@@ -11,7 +11,8 @@ entries, found through a root -> entries index made in one scan of the
 stores, and absorbing them once, not re-absorbing after every `or_`.  The
 database is the depth-0 store, so a fact's lineage is its own variable by
 the same path, as in the reference engine's initial map.  An entry with no
-OR below it is one clause, cached on it once read; `phi` unfolds the rest.
+OR below it is one clause, set on it when it was built; `phi` unfolds the
+rest.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional
 
-from .derivations import EMPTY, Child, DerivationEntry, Label, Leaf
+from .derivations import EMPTY, Child, Label
 from .model import Atom, Program, match_atom
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -166,20 +167,8 @@ FALSE = Dnf(frozenset())
 # Formula extraction from stored derivations
 # ---------------------------------------------------------------------------
 
-def _clause(x: Child, shared: Dict[Clause, Clause]) -> Optional[Clause]:
-    """An OR-free derivation's clause, cached, equal ones shared; else None."""
-    if isinstance(x, Leaf):
-        return frozenset((x.var,))
-    c = getattr(x, "_clause", False)
-    if c is False:
-        cs = [_clause(child, shared) for child in x.children] if x.label is Label.AND else [None]
-        c = None if None in cs else EMPTY.union(*cs)
-        x._clause = c = shared.setdefault(c, c)
-    return c
-
-
 def phi(
-    entry: DerivationEntry | Leaf,
+    entry: Child,
     max_clauses: Optional[int] = DEFAULT_CLAUSE_CAP,
     memo: Optional[Dict[int, Dnf]] = None,
 ) -> Dnf:
@@ -193,12 +182,10 @@ def phi(
     """
     if memo is None:
         memo = {}
-    shared: Dict[Clause, Clause] = {}
 
     def rec(node) -> Dnf:
-        clause = _clause(node, shared)
-        if clause is not None:
-            return Dnf(frozenset((clause,)))
+        if node._clause is not None:
+            return Dnf(frozenset((node._clause,)))
         cached = memo.get(id(node))
         if cached is not None:
             return cached
@@ -219,12 +206,10 @@ class Answer:
     probability: Optional[float] = None
 
 
-def _entries_by_root(
-    result: "ReasoningResult", k: int
-) -> Dict[Atom, List[DerivationEntry | Leaf]]:
+def _entries_by_root(result: "ReasoningResult", k: int) -> Dict[Atom, List[Child]]:
     """Stored entries of every atom held by the database, the depth-0
     store, or by a node no deeper than k."""
-    index: Dict[Atom, List[DerivationEntry | Leaf]] = {
+    index: Dict[Atom, List[Child]] = {
         fact: list(leaves) for fact, leaves in result.facts.by_root.items()
     }
     for node_id, store in result.stores.items():
@@ -237,9 +222,8 @@ def _entries_by_root(
 def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dnf]) -> Dnf:
     """One atom's lineage: each plain entry's clause, `phi` only for an
     entry with an OR below it, absorbed once."""
-    shared: Dict[Clause, Clause] = {}
     return _disjoin(
-        ((c,) if (c := _clause(e, shared)) is not None else phi(e, max_clauses, memo).clauses
+        ((c,) if (c := e._clause) is not None else phi(e, max_clauses, memo).clauses
          for e in entries),
         max_clauses,
     )

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,23 @@ class TestRun:
             printed[fact] = prob
         for ans in report["answers"]:
             assert printed[ans["fact"]] == f"{ans['probability']:.12g}"
+
+    def test_text_output_with_bounds_and_stats(self, capsys, running_file):
+        code, text = run_cli(
+            capsys, "run", "--program", running_file, "--bounds", "--stats",
+            "--output", "text",
+        )
+        assert code == 0
+        *head, stats, truncated = text.splitlines()
+        assert head == [
+            "engine: pcor",
+            "p(a,b)\t0.625\te(a,b) | e(a,c)&e(c,b)",
+            "  bounds: [0.5, 0.625]",
+        ]
+        assert stats.startswith("stats: ")
+        report = json.loads(stats[len("stats: "):])
+        assert report["entries"] == 8 and report["rounds"] == 3
+        assert truncated == "truncated: False"
 
     def test_json_output_is_deterministic(self, capsys, running_file):
         _, r1 = run_json(capsys, "run", "--program", running_file, "--query", "p(X,Y)")
@@ -356,6 +374,47 @@ class TestErrors:
         assert 0.1 < expected < 0.99
         assert abs(got - expected) <= 1e-12 * expected
 
+    def test_a_long_plain_path_needs_no_recursion_depth(self, capsys, tmp_path):
+        # Each derivation's clause is set when it is built, so reading the
+        # one clause of a 600-round derivation nests no calls
+        n = 600
+        path = tmp_path / "path.pl"
+        path.write_text(
+            "r(n0).\n"
+            + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
+            + "r(X) :- r(Y), e(Y,X).\n"
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)  # Python's default
+        try:
+            code, report = run_json(
+                capsys, "run", "--program", str(path), "--query", f"r(n{n})"
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0
+        (ans,) = report["answers"]
+        expected = float(Fraction(0.9) ** n)  # the weight as parsed, exactly
+        # one clause: the n edges and the certain fact r(n0)
+        assert len(ans["lineage"]) == 1 and len(ans["lineage"][0]) == n + 1
+        assert abs(ans["probability"] - expected) <= 1e-12 * expected
+
+    def test_malformed_query_atom_exits_1(self, capsys, running_file):
+        code, out = run_json(capsys, "run", "--program", running_file, "--query", "p(a,")
+        assert code == 1
+        assert out["error"]["type"] == "parse"
+        assert out["error"]["message"].startswith("bad query atom: ")
+
+    def test_no_query_anywhere_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "noquery.pl"
+        path.write_text(RUNNING_EXAMPLE.replace("query(p(a,b)).\n", ""))
+        code, out = run_json(capsys, "run", "--program", str(path))
+        assert code == 1
+        assert out["error"] == {
+            "type": "parse",
+            "message": "no --query given and the program declares no query(...)",
+        }
+
     def test_unknown_query_predicate_exits_1(self, capsys, running_file):
         code, out = run_cli(
             capsys, "run", "--program", running_file, "--query", "zz(a)"
@@ -393,12 +452,13 @@ class TestErrors:
             "type": "parse", "message": "query p(X): predicate arity is 2"
         }
 
-    def test_invalid_engine_name_is_a_usage_error(self, running_file):
-        with pytest.raises(SystemExit) as err:
-            cli.main(
-                ["oracle", "--program", running_file, "--engine", "bogus"]
-            )
-        assert err.value.code == 2
+    def test_invalid_engine_name_is_a_usage_error(self, capsys, running_file):
+        code, out = run_cli(
+            capsys, "oracle", "--program", running_file, "--engine", "bogus"
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "usage"
+        assert "bogus" in json.loads(out)["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -412,11 +472,38 @@ class TestErrors:
             "compare --stats",
         ],
     )
-    def test_flag_the_subcommand_does_not_read_is_a_usage_error(self, running_file, argv):
+    def test_flag_the_subcommand_does_not_read_is_a_usage_error(
+        self, capsys, running_file, argv
+    ):
         command, *flags = argv.split()
+        code = cli.main([command, "--program", running_file, *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "usage"
+        assert flags[0] in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "run --program {} --max-depth abc",
+            "compare --program {} --max-entries 1.5",
+            "run --program {} --collapse maybe",
+            "oracle",  # no --program
+            "",  # no subcommand
+        ],
+    )
+    def test_malformed_arguments_are_a_usage_error(self, capsys, running_file, argv):
+        code = cli.main(argv.format(running_file).split())
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        assert json.loads(captured.out)["error"]["type"] == "usage"
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as err:
-            cli.main([command, "--program", running_file, *flags])
-        assert err.value.code == 2
+            cli.main(["run", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: probdatalog run")
 
 
 class TestOracle:
@@ -495,6 +582,13 @@ class TestOracle:
         assert seq[-1] == pytest.approx(ans["probability"], abs=1e-12)
 
 
+    def test_round_limit_exits_2(self, capsys, running_file):
+        # the running example reaches its fixpoint in round 3
+        code, out = run_json(capsys, "oracle", "--program", running_file, "--max-depth", "1")
+        assert code == 2
+        assert out["error"] == {"type": "resource", "message": "no fixpoint within 1 rounds"}
+
+
 class TestGen:
     def test_same_seed_is_byte_identical(self, capsys):
         _, first = run_cli(capsys, "gen", "--kind", "powerlaw", "--nodes", "10", "--seed", "7")
@@ -556,6 +650,16 @@ class TestCompare:
         assert code == 0
         assert not report["mismatch"]
         assert report["max_delta"] <= 1e-9
+
+    def test_text_output_lists_each_engine(self, capsys, running_file):
+        code, text = run_cli(capsys, "compare", "--program", running_file, "--output", "text")
+        assert code == 0
+        assert text.splitlines() == [
+            "engine: compare",
+            "p(a,b)\t0.625\t0.625\t0.625",
+            "max_delta: 0.000e+00",
+            "mismatch: False",
+        ]
 
     def test_generated_corpus_file_has_tiny_deltas(self, capsys, tmp_path):
         out = tmp_path / "graph.pl"

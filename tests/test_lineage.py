@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MAX_DEPTH, MAX_ENTRIES, collapse_example, reason
+from conftest import MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example, reason
 from corpus import corpus
 from oracles import (
     atom_key,
@@ -35,7 +35,7 @@ from probdatalog import (
     tcp_initial,
 )
 from probdatalog.derivations import DerivationEntry, Label, Leaf
-from probdatalog.lineage import _absorb, _clause
+from probdatalog.lineage import _absorb
 from probdatalog.model import Atom, atom, match_atom, variable
 
 clauses_strategy = st.lists(
@@ -191,9 +191,16 @@ class TestPhi:
         assert set(memo) == {id(top), id(alts)}
 
     def test_equal_clauses_are_one_object(self):
-        a, b = (DerivationEntry(atom("p"), Label.AND, (Leaf(1), Leaf(2)), 0) for _ in "ab")
-        shared = {}
-        assert _clause(a, shared) is _clause(b, shared)
+        # unfiltered, the cycle b -> c -> b derives p(a,b) again and again
+        # from the same facts, so one node builds equal clauses
+        prog = normalize(parse_program(RUNNING_EXAMPLE))
+        result = run_pr(prog, ReasonerOptions(redundancy_filter=False, max_depth=4))
+        repeats = 0
+        for store in result.stores.values():
+            clauses = [e._clause for e in store.entries]
+            assert len(set(map(id, clauses))) == len(set(clauses))
+            repeats += len(clauses) - len(set(clauses))
+        assert repeats
 
     @pytest.mark.parametrize("mode", ["off", "on"])
     def test_plain_entry_clause_is_its_unfolded_lineage(self, mode):
@@ -204,10 +211,9 @@ class TestPhi:
             for store in result.stores.values():
                 for e in store.entries:
                     if has_or(e):
-                        assert _clause(e, {}) is None
+                        assert e._clause is None
                     else:
-                        assert Dnf(frozenset({_clause(e, {})})) == unfolded_dnf(e)
-                        assert e._clause is _clause(e, {})
+                        assert Dnf(frozenset({e._clause})) == unfolded_dnf(e)
                         checked += 1
                     assert phi(e) == unfolded_dnf(e)
         assert checked

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import time
@@ -13,6 +14,7 @@ from probdatalog import (
     Rule,
     RuleKind,
     atom,
+    cli,
     desugar_rule_probability,
     normalize,
     parse_atom,
@@ -179,6 +181,7 @@ class TestParser:
             ("query(p(a)", 1, 11, "expected RPAR but found ''"),
             ("query p(a).", 1, 7, "expected LPAR but found 'p'"),
             ("query(p(a)).x", 1, 13, "expected EOF but found 'x'"),
+            ("query(e(a,b)) x", 1, 15, "expected DOT but found 'x'"),
             ("0.5:e(a).", 1, 4, "unexpected character ':'"),
             ("0.5 e(a).", 1, 5, "expected PROB but found 'e'"),
             ("p(a,", 1, 5, "expected term but found ''"),
@@ -267,6 +270,25 @@ class TestNormalize:
         cooked = tcp_fixpoint(norm).formulas
         for a, f in raw.items():
             assert truth_table_equal(f, cooked[a])
+
+    def test_repeated_database_predicate_gets_one_alias(self, tmp_path, capsys):
+        text = (
+            "0.5::e(a,b).\n0.6::e(b,a).\np(X,Y) :- e(X,Y).\n"
+            "q(X) :- p(X,Y), e(Y,X), e(X,Y).\n"
+        )
+        norm = normalize(parse_program(text))
+        rewritten = next(r for r in norm.rules if r.head.predicate.text == "q")
+        assert [a.predicate.text for a in rewritten.body] == ["p", "e__d", "e__d"]
+        assert [r.head.predicate.text for r in norm.rules].count("e__d") == 1
+        # each engine: q(a) and q(b) both need e(a,b) and e(b,a), 0.5 * 0.6
+        path = tmp_path / "q.pl"
+        path.write_text(text)
+        code = cli.main(["compare", "--program", str(path), "--query", "q(X)", "--output", "json"])
+        rows = json.loads(capsys.readouterr().out)["answers"]
+        assert code == 0
+        assert [row["fact"] for row in rows] == ["q(a)", "q(b)"]
+        for row in rows:
+            assert [row[e] for e in ("pr", "pcor", "tcp")] == pytest.approx([0.3] * 3, abs=1e-12)
 
     def test_no_rules_means_no_change(self):
         prog = parse_program("0.5::e(a,b).")

@@ -91,9 +91,20 @@ class TestRunPcor:
         with pytest.raises(ValueError):
             run_pcor(running_prog, ReasonerOptions(collapse=CollapseMode.OFF))
 
-    def test_threshold_must_be_at_least_two(self):
-        with pytest.raises(ValueError):
-            ReasonerOptions(threshold=1)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(threshold=1), "threshold must be >= 2"),
+            (dict(max_depth=0), "max_depth must be >= 1"),
+            (dict(max_entries=-1), "max_entries must be >= 0"),
+            (dict(redundancy_filter=False), "requires max_depth"),
+            (dict(collapse="sometimes"), "is not a valid CollapseMode"),
+        ],
+        ids=["threshold", "max_depth", "max_entries", "unfiltered", "collapse"],
+    )
+    def test_invalid_options_are_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ReasonerOptions(**kwargs)
 
     def test_auto_below_threshold_behaves_like_plain(self, running_prog):
         plain = run_pr(running_prog)
