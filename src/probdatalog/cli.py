@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -354,6 +355,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", f"{self.prog}: {message}", EXIT_PARSE)
 
 
+@functools.cache  # one parser per process, built by the first `main` call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="probdatalog",

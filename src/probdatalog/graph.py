@@ -9,7 +9,8 @@ and removal is a tombstone so references into a node's store stay valid.
 The graph grows join-driven: the reasoner hands `inductive_step` the root
 facts each stored node holds, and a depth-k node is created only for a
 parent tuple whose root facts ground the rule body at least once.  Those
-tuples come from a semi-naive hash join (`model.join`) over the root facts,
+tuples come from a semi-naive hash join (`model.join`) over an index of
+the root facts that round k extends by the depth-(k-1) nodes' roots alone,
 so a node that could store nothing is never created, rather than created,
 instantiated and tombstoned.  The join is the round's only one: each new
 node comes with its groundings, the head fact and the root fact chosen at
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from .model import Atom, EntryBudgetError, Rule, RuleKind, Symbol, join, substitute
 
@@ -40,6 +41,8 @@ class EgNode:
 @dataclass
 class ExecutionGraph:
     nodes: List[EgNode] = field(default_factory=list)
+    # the last round's root index, for the next to extend; runs drop it
+    growth: Optional[_RootIndex] = field(default=None, repr=False, compare=False)
 
     def node(self, node_id: int) -> EgNode:
         return self.nodes[node_id]
@@ -63,6 +66,8 @@ class ExecutionGraph:
         if node.removed:
             raise KeyError(f"node {node_id} already removed")
         node.removed = True
+        if self.growth is not None and node_id < self.growth.seen:
+            self.growth = None  # an indexed node left: rebuild next round
 
     def dump(self) -> str:
         """Debug adjacency list: node id, rule id, depth, parents."""
@@ -92,36 +97,62 @@ def groundings(rule: Rule, candidates: Sequence[Iterable[Atom]]) -> Iterator[Gro
 _BELOW, _AT, _ANY = 0, 1, 2  # depth below k - 1, exactly k - 1, below k
 
 
+class _View(dict):
+    """Root fact -> ids of the nodes holding it, in lexicographic order of
+    the facts; `probes` keeps the hash indexes `join` built over it."""
+
+
 class _RootIndex:
     """Root fact -> ids of the live nodes below depth k that hold it, per
-    head predicate and depth class.  A view is built on first use, with its
-    facts in lexicographic order, and shared by every rule of the round."""
+    head predicate and depth class.  Round k adds only its `_AT` nodes, and
+    its `_ANY` views are round k + 1's `_BELOW` views.  A view is merged
+    from its parts on first use, by sort keys computed once per fact, and
+    shared by every rule of the round; while unchanged it keeps its probes.
+    """
 
-    def __init__(
+    def __init__(self):
+        self.k: Optional[int] = None  # the round indexed last
+        self.seen = 0  # the graph nodes indexed so far
+        self._keys: Dict[Atom, tuple] = {}
+        self._parts: Dict[tuple[Symbol, int], List[Dict[Atom, List[int]]]] = {}
+
+    def advance(
         self, g: ExecutionGraph, roots: Mapping[int, Iterable[Atom]], k: int
-    ):
-        self._holders: Dict[Symbol, List[tuple[int, int, Iterable[Atom]]]] = {}
-        for n in g.live_nodes():
-            if n.depth < k and n.id in roots:
-                depth_class = _AT if n.depth == k - 1 else _BELOW
-                self._holders.setdefault(n.rule.head.predicate, []).append(
-                    (n.id, depth_class, roots[n.id])
-                )
-        self._views: Dict[tuple[Symbol, int], Dict[Atom, List[int]]] = {}
+    ) -> None:
+        """Index the nodes added to `g` since the last round, for round k."""
+        old = self._parts
+        self._parts = {
+            (p, _BELOW): old.get((p, _ANY)) or old.get((p, _BELOW), []) + old.get((p, _AT), [])
+            for p, _ in old
+        }
+        new: Dict[tuple[Symbol, int], Dict[Atom, List[int]]] = {}
+        self.k, nodes, self.seen = k, g.nodes[self.seen:], len(g.nodes)
+        for n in nodes:
+            if n.depth >= k:
+                self.k = None  # skipped here, so the next round rebuilds
+            elif not n.removed and n.id in roots:
+                key = (n.rule.head.predicate, _AT if n.depth == k - 1 else _BELOW)
+                for a in roots[n.id]:
+                    new.setdefault(key, {}).setdefault(a, []).append(n.id)
+                    if a not in self._keys:
+                        self._keys[a] = a.sort_key()
+        for key, part in new.items():
+            self._parts.setdefault(key, []).append(part)
 
-    def view(self, pred: Symbol, depth_class: int) -> Dict[Atom, List[int]]:
-        key = (pred, depth_class)
-        view = self._views.get(key)
-        if view is None:
-            view = {}
-            for node_id, c, node_roots in self._holders.get(pred, ()):
-                if depth_class == _ANY or c == depth_class:
-                    for a in node_roots:
-                        view.setdefault(a, []).append(node_id)
-            view = self._views[key] = dict(
-                sorted(view.items(), key=lambda item: item[0].sort_key())
-            )
-        return view
+    def view(self, pred: Symbol, depth_class: int) -> _View:
+        if depth_class == _ANY and (pred, _ANY) not in self._parts:
+            self._parts[pred, _ANY] = [self.view(pred, _BELOW), self.view(pred, _AT)]
+        parts = [part for part in self._parts.get((pred, depth_class), ()) if part]
+        if len(parts) != 1 or not isinstance(parts[0], _View):
+            merged = dict(parts[0]) if parts else {}
+            for part in parts[1:]:
+                for a, ids in part.items():
+                    merged[a] = merged[a] + ids if a in merged else ids
+            order = sorted(merged, key=self._keys.__getitem__)  # merges sorted runs
+            parts = [_View(zip(order, map(merged.__getitem__, order)))]
+            parts[0].probes = {}
+        self._parts[pred, depth_class] = parts
+        return parts[0]
 
 
 def _joinable(
@@ -135,9 +166,12 @@ def _joinable(
     positions from below k - 1 and later ones from below k, every tuple
     with a parent at depth k - 1 is found for exactly one j.  So all
     groundings of one tuple come from one join over sorted views, in the
-    lexicographic order of their chosen facts.
+    lexicographic order of their chosen facts.  A split whose depth-(k-1)
+    view is empty is skipped before its other views are built.
     """
     for j in range(len(rule.body)):
+        if not index.view(rule.body[j].predicate, _AT):
+            continue
         split = [
             index.view(a.predicate, _BELOW if i < j else _AT if i == j else _ANY)
             for i, a in enumerate(rule.body)
@@ -167,21 +201,24 @@ def inductive_step(
     rule's tuples in lexicographic order, so no node is created only to be
     tombstoned for storing nothing.  The tuples are found by one semi-naive
     hash join per rule over an index of root facts to the nodes holding
-    them, built once per round.
+    them, kept on the graph: a call right after the one for round k - 1
+    adds only the nodes that call made, and any other call rebuilds it.
 
     Each grounding allocates at least one entry when instantiated, so more
     groundings than `budget` raise `EntryBudgetError` before any node is
     added.  Existing nodes and edges are never altered, and tombstoned
     nodes are never re-created since they are excluded from enumeration.
     """
-    index = _RootIndex(g, roots, k)
+    if g.growth is None or g.growth.k != k - 1:
+        g.growth = _RootIndex()
+    g.growth.advance(g, roots, k)
     found: List[tuple[Rule, tuple[int, ...], List[Grounding]]] = []
     count = 0
     for r in rules:
         if r.kind is not RuleKind.NONBASE:
             continue
         by_parents: Dict[tuple[int, ...], List[Grounding]] = {}
-        for parents, grounding in _joinable(r, index):
+        for parents, grounding in _joinable(r, g.growth):
             count += 1
             if count > budget:
                 raise EntryBudgetError(f"entry budget exceeded while growing depth {k}")

@@ -227,7 +227,8 @@ def join(
     constant, or by a variable of an earlier body atom.  A probe is then one
     dict lookup, whose bucket keeps the candidates' order, followed by
     `match_atom`, which still checks repeated variables.  A position with
-    nothing bound iterates its candidates as they are.
+    nothing bound iterates its candidates as they are.  Candidates with a
+    `probes` dict keep their hash indexes there, for later joins to reuse.
     """
     bound_at: list[tuple[int, ...]] = []
     seen: set[Symbol] = set()
@@ -246,14 +247,18 @@ def join(
         pattern = body[i]
         index = indexes[i]
         if index is None:
-            index = indexes[i] = {}
-            for fact in candidates[i]:
-                if (
-                    fact.predicate is pattern.predicate
-                    and len(fact.args) == len(pattern.args)
-                ):
-                    key = tuple(fact.args[p] for p in positions)
-                    index.setdefault(key, []).append(fact)
+            kept = getattr(candidates[i], "probes", {})
+            shape = (pattern.predicate, len(pattern.args), positions)
+            index = indexes[i] = kept.get(shape)
+            if index is None:
+                index = indexes[i] = kept[shape] = {}
+                for fact in candidates[i]:
+                    if (
+                        fact.predicate is pattern.predicate
+                        and len(fact.args) == len(pattern.args)
+                    ):
+                        key = tuple(fact.args[p] for p in positions)
+                        index.setdefault(key, []).append(fact)
         args = pattern.args
         return index.get(tuple(subst.get(args[p], args[p]) for p in positions), ())
 

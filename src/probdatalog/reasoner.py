@@ -110,6 +110,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
     rules = sorted(prog.rules, key=lambda r: r.id)
     g = base_step(rules)
     stores: Dict[int, NodeStore] = {}
+    roots: Dict[int, Dict] = {}  # each store's root facts, for graph growth
     stats = ReasonerStats()
     stop_reason = "fixpoint"
     allocated_total = 0
@@ -128,7 +129,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                     for v in g.nodes
                 ]
             else:
-                roots = {v: store.by_root for v, store in stores.items()}
                 grown = inductive_step(g, rules, k, roots, cap - allocated_total)
             for v, found in grown:
                 inst = instantiate_node(
@@ -161,6 +161,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 if allocated_total > cap:
                     raise EntryBudgetError("entry budget exceeded")
                 stores[v.id] = store
+                roots[v.id] = store.by_root
         except EntryBudgetError:
             stop_reason = "max_entries"
 
@@ -172,6 +173,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
             stop_reason = "max_depth"
             break
 
+    g.growth = None  # growth state lives only as long as the run
     return ReasoningResult(
         graph=g,
         facts=facts,

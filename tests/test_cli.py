@@ -274,10 +274,11 @@ class TestErrors:
     )
     def test_limit_out_of_range_is_a_usage_error(self, capsys, running_file, argv):
         command, *flags = argv.split()
-        code, out = run_json(capsys, command, "--program", running_file, *flags)
+        code = cli.main([command, "--program", running_file, *flags, "--output", "json"])
+        captured = capsys.readouterr()
         assert code == 1
-        assert out["error"]["type"] == "usage"
-        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(captured.out)["error"]["type"] == "usage"
+        assert "Traceback" not in captured.err
 
     def test_resource_limit_exits_2_with_stats(self, capsys, running_file):
         code, out = run_cli(
@@ -376,28 +377,28 @@ class TestErrors:
 
     def test_a_long_plain_path_needs_no_recursion_depth(self, capsys, tmp_path):
         # Each derivation's clause is set when it is built, so reading the
-        # one clause of a 600-round derivation nests no calls
-        n = 600
-        path = tmp_path / "path.pl"
-        path.write_text(
-            "r(n0).\n"
-            + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
-            + "r(X) :- r(Y), e(Y,X).\n"
-        )
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)  # Python's default
-        try:
-            code, report = run_json(
-                capsys, "run", "--program", str(path), "--query", f"r(n{n})"
+        # one clause of a 1,200-round derivation nests no calls
+        for n in (600, 1200):
+            path = tmp_path / f"path{n}.pl"
+            path.write_text(
+                "r(n0).\n"
+                + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
+                + "r(X) :- r(Y), e(Y,X).\n"
             )
-        finally:
-            sys.setrecursionlimit(limit)
-        assert code == 0
-        (ans,) = report["answers"]
-        expected = float(Fraction(0.9) ** n)  # the weight as parsed, exactly
-        # one clause: the n edges and the certain fact r(n0)
-        assert len(ans["lineage"]) == 1 and len(ans["lineage"][0]) == n + 1
-        assert abs(ans["probability"] - expected) <= 1e-12 * expected
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(1000)  # Python's default
+            try:
+                code, report = run_json(
+                    capsys, "run", "--program", str(path), "--query", f"r(n{n})"
+                )
+            finally:
+                sys.setrecursionlimit(limit)
+            assert code == 0
+            (ans,) = report["answers"]
+            expected = float(Fraction(0.9) ** n)  # the weight as parsed, exactly
+            # one clause: the n edges and the certain fact r(n0)
+            assert len(ans["lineage"]) == 1 and len(ans["lineage"][0]) == n + 1
+            assert abs(ans["probability"] - expected) <= 1e-12 * expected
 
     def test_malformed_query_atom_exits_1(self, capsys, running_file):
         code, out = run_json(capsys, "run", "--program", running_file, "--query", "p(a,")

@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from conftest import reason
@@ -16,7 +19,7 @@ from probdatalog import (
     run_pr,
 )
 from probdatalog.derivations import FactIndex, NodeStore
-from probdatalog.graph import EgNode
+from probdatalog.graph import EgNode, ExecutionGraph
 from probdatalog.model import Atom, RuleKind
 
 
@@ -250,3 +253,69 @@ class TestJoinDrivenGrowth:
         result = run_pr(normalize(parse_program(chain_program(7, 0))))
         assert len(result.graph.nodes) == 65
         assert all(not n.removed for n in result.graph.nodes)
+
+
+def path_program(n):
+    return normalize(parse_program(
+        "r(n0).\n"
+        + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
+        + "r(X) :- r(Y), e(Y,X).\n"
+    ))
+
+
+class TestCarriedRootIndex:
+    """Growth carries its root index from round to round on the graph; any
+    call gives the nodes and groundings of a freshly built index."""
+
+    @staticmethod
+    def step_like_fresh(g, rules, k, roots):
+        fresh = ExecutionGraph([replace(n) for n in g.nodes])
+        expected = inductive_step(fresh, rules, k, roots)
+        added = inductive_step(g, rules, k, roots)
+        assert [(n.id, n.rule.id, n.parents, gs) for n, gs in added] == [
+            (n.id, n.rule.id, n.parents, gs) for n, gs in expected
+        ], k
+        return added
+
+    @pytest.mark.parametrize(
+        "ks",
+        [(2, 3, 4, 5, 6), (2, 2, 3, 4), (2, 3, 3, 4), (2, 4, 5), (3, 2, 3, 4), (4, 5)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("text", [chain_program(5, 0), powerlaw_program(12, 1)])
+    def test_any_call_sequence_matches_a_fresh_index(self, text, ks):
+        prog = normalize(parse_program(text))
+        roots = running_roots(prog)
+        g = base_step(prog.rules)
+        for k in ks:
+            self.step_like_fresh(g, prog.rules, k, roots)
+
+    def test_removing_an_indexed_node_rebuilds(self, running_prog):
+        roots = running_roots(running_prog)
+        g = base_step(running_prog.rules)
+        for k in (2, 3):
+            self.step_like_fresh(g, running_prog.rules, k, roots)
+        g.remove_node(1)
+        assert g.growth is None
+        assert self.step_like_fresh(g, running_prog.rules, 4, roots) == []
+
+    def test_a_run_releases_the_index(self, running_prog):
+        assert run_pr(running_prog).graph.growth is None
+
+    def test_each_sort_key_is_computed_a_bounded_number_of_times(self, monkeypatch):
+        # A work count, not a time: re-sorting every view each round would
+        # compute each edge's key once per round, about 300 times here.
+        prog = path_program(300)
+        calls, sort_key = Counter(), Atom.sort_key
+
+        def counted(atom):
+            calls[atom] += 1
+            return sort_key(atom)
+
+        monkeypatch.setattr(Atom, "sort_key", counted)
+        result = run_pr(prog)
+        assert result.rounds == 301
+        roots = {a for s in result.stores.values() for a in s.by_root}
+        assert len(roots) == 601 and roots <= calls.keys()
+        # once when the database is sorted, once when growth indexes it
+        assert max(calls.values()) <= 2
