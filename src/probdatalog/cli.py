@@ -38,7 +38,7 @@ from .lineage import (
 )
 from .model import Atom, Program, match_atom, normalize
 from .parser import ParseError, parse_atom, parse_program
-from .reasoner import CollapseMode, ReasonerOptions, ReasoningResult, run_pcor, run_pr
+from .reasoner import CollapseMode, ReasonerOptions, run_pcor, run_pr
 from .tcp import TcpRoundLimitError, tcp_fixpoint
 from .generate import chain_program, powerlaw_program
 from .wmc import (
@@ -114,22 +114,18 @@ def _compute_probability(dnf: Dnf, weights, solver: str) -> float:
         raise CliError("wmc", str(e), EXIT_WMC)
 
 
-def _reason(engine: str, prog: Program, args, collapse: str) -> ReasoningResult:
-    # Reasoner limits a subcommand has no flag for keep their defaults.
+def _options(args, collapse: str) -> ReasonerOptions:
+    """The limit flags as reasoner options, whose checks hold for every
+    engine.  Limits a subcommand has no flag for keep their defaults."""
     limits = {
         name: getattr(args, name)
         for name in ("threshold", "max_depth", "max_entries")
         if hasattr(args, name)
     }
     try:
-        opts = ReasonerOptions(collapse=CollapseMode(collapse), **limits)
+        return ReasonerOptions(collapse=CollapseMode(collapse), **limits)
     except ValueError as e:
         raise CliError("usage", str(e), EXIT_PARSE)
-    runner = run_pr if engine == "pr" else run_pcor
-    try:
-        return runner(prog, opts)
-    except RecursionError as e:
-        raise CliError("resource", f"derivations too deep for reasoning: {e}", EXIT_RESOURCE)
 
 
 def _collect_answers(result, prog: Program, queries: List[Atom]) -> List[Answer]:
@@ -156,12 +152,11 @@ def _answers(
     bounds when `args.bounds` asks for them, and the run's stats.
     """
     want_bounds = getattr(args, "bounds", False)
+    opts = _options(args, collapse)
     t0 = time.perf_counter()
     if engine in TCP_MODES:
         try:
-            inst = tcp_fixpoint(prog, TCP_MODES[engine], args.max_depth)
-        except ValueError as e:
-            raise CliError("usage", str(e), EXIT_PARSE)
+            inst = tcp_fixpoint(prog, TCP_MODES[engine], opts.max_depth)
         except TcpRoundLimitError as e:
             raise CliError("resource", str(e), EXIT_RESOURCE)
         reason_ms = _ms(t0)
@@ -180,7 +175,11 @@ def _answers(
         ]
         history = inst.history
     else:
-        result = _reason(engine, prog, args, collapse)
+        runner = run_pr if engine == "pr" else run_pcor
+        try:
+            result = runner(prog, opts)
+        except RecursionError as e:
+            raise CliError("resource", f"derivations too deep for reasoning: {e}", EXIT_RESOURCE)
         reason_ms = _ms(t0)
         stats = {
             "rounds": result.stats.rounds_executed,

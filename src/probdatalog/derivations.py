@@ -11,9 +11,8 @@ extraction walk the shared structure instead.
 Graph growth hands each node its groundings, so instantiation joins
 nothing.  An entry sets its OR-freeness and lineage clause when built, and
 caches its cone of facts and own redundancy verdict when first read; a
-leaf answers all four alike.  A store caches whether all its entries are
-OR-free, as the database is: on such stores instantiation rejects
-redundant candidates unbuilt, yet `allocated` counts them all.
+leaf answers all four alike.  Instantiation rejects a candidate unbuilt
+when an OR-free child's cone holds its root, yet `allocated` counts it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .graph import EgNode, Grounding
@@ -61,9 +59,9 @@ class DerivationEntry:
     children: tuple["Child", ...] = field(repr=False)
     home: int  # owning execution-graph node
     clauses: InitVar[Optional[dict]] = None
-    _cone: frozenset = field(init=False, repr=False)
+    _cone: Optional[frozenset] = field(default=None, init=False, repr=False)
     _or_free: bool = field(init=False, repr=False)
-    _verdict: bool = field(init=False, repr=False)
+    _verdict: Optional[bool] = field(default=None, init=False, repr=False)
     _clause: Optional[frozenset] = field(init=False, repr=False)
 
     def __post_init__(self, clauses):
@@ -87,12 +85,6 @@ class NodeStore:
         self.entries.append(entry)
         self.by_root.setdefault(entry.root, []).append(entry)
 
-    @cached_property
-    def or_free(self) -> bool:
-        """No entry has an OR entry in its DAG.  Pruning reads it once the
-        store is complete, and then each entry's cone, which this caches."""
-        return all([_atom_cone(e) and e._or_free for e in self.entries])
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -101,8 +93,6 @@ class FactIndex:
     """The database as the depth-0 store: `by_root` maps each fact to its
     one leaf, as a node store maps a root fact to its entries, and
     `by_pred` lists the facts of each predicate in lexicographic order."""
-
-    or_free = True
 
     def __init__(self, facts: Iterable[ProbFact]):
         self.by_root: Dict[Atom, List[Leaf]] = {}
@@ -138,9 +128,11 @@ def instantiate_node(
     one entry, with leaf children.
 
     With `prune`, for a caller that keeps only non-redundant candidates,
-    a node on OR-free sources builds only candidates whose root lies in
-    no child's cone, with their verdict cached: a stored plain child
-    repeats no fact on any path, so that is `is_hereditarily_redundant`.
+    a candidate is not built when an OR-free child's cone holds its root:
+    that child has one unfolding, so the root repeats on every unfolding
+    of the candidate.  A built candidate on OR-free children only is
+    clean, since a stored plain child repeats no fact on any path, and
+    gets its verdict cached; `is_hereditarily_redundant` decides the rest.
     `allocated` counts every candidate, built or rejected, so pruning
     never moves a budget trip.  Equal clauses built here are one object.
     """
@@ -150,7 +142,6 @@ def instantiate_node(
         sources = [facts] * len(node.rule.body)
     else:
         sources = [stores[p] for p in node.parents]
-    prune = prune and all(s.or_free for s in sources)
     clauses: dict = {}
     for root, chosen in groundings:
         result.substitutions += 1
@@ -166,11 +157,12 @@ def instantiate_node(
                 bucket.append(DerivationEntry(root, Label.AND, combo, node.id, clauses))
                 continue
             for c in combo:
-                if root in c._cone:
+                if c._or_free and root in _atom_cone(c):
                     break
             else:
                 entry = DerivationEntry(root, Label.AND, combo, node.id, clauses)
-                entry._verdict = True  # no path repeats a fact
+                if entry._or_free:
+                    entry._verdict = True  # no path repeats a fact
                 bucket.append(entry)
     return result
 
@@ -181,7 +173,7 @@ def instantiate_node(
 
 def _atom_cone(x: Child) -> frozenset[Atom]:
     """Facts occurring anywhere in an entry's DAG (cached)."""
-    cached = getattr(x, "_cone", None)
+    cached = x._cone
     if cached is None:
         cached = x._cone = frozenset({x.root}).union(*(_atom_cone(c) for c in x.children))
     return cached
@@ -205,9 +197,8 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
     own verdict, cached on the entry; with some and an OR-free DAG, it has
     one unfolding, which repeats them; otherwise by a memoized walk.
     """
-    verdict = getattr(entry, "_verdict", None)
-    if verdict is not None:  # every candidate built under `prune` has one
-        return not verdict
+    if entry._verdict is not None:  # built on OR-free children, or walked
+        return not entry._verdict
     memo: Dict[tuple, bool] = {}
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
@@ -215,7 +206,7 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
         if relevant and x._or_free:
             return False
         key = (id(x), relevant)
-        cached = memo.get(key) if relevant else getattr(x, "_verdict", None)
+        cached = memo.get(key) if relevant else x._verdict
         if cached is not None:
             return cached
         if x.root in relevant:

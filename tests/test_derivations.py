@@ -16,6 +16,7 @@ from probdatalog import (
     normalize,
     parse_atom,
     parse_program,
+    powerlaw_program,
     reasoner,
     run_pr,
     should_collapse,
@@ -26,6 +27,7 @@ from probdatalog.derivations import (
     Label,
     Leaf,
     NodeStore,
+    _atom_cone,
 )
 from probdatalog.graph import groundings
 from probdatalog.model import atom
@@ -258,6 +260,8 @@ def stored_as_rebuilt(result, mode, redundant):
     verdicts = []
     threshold = ReasonerOptions().threshold
     for node in result.graph.nodes:
+        for e in result.stores[node.id].entries:
+            assert _atom_cone(e) == cone(e)
         found = node_groundings(node, result.facts, result.stores)
         by_root = instantiate_node(node, found, result.facts, result.stores).by_root
         collapsing = mode == "on" or (
@@ -267,6 +271,7 @@ def stored_as_rebuilt(result, mode, redundant):
         for entries in by_root.values():
             kept = []
             for e in entries:
+                assert _atom_cone(e) == cone(e)
                 out = redundant(e)
                 verdicts.append((e, out))
                 if not out:
@@ -335,6 +340,42 @@ class TestRedundancyCases:
         result = reason(normalize(parse_program(self.COMPLETE_4)), mode)
         assert len(calls) == len(result.graph.nodes)
         assert sum(c.substitutions for c in calls) == result.stats.total("instantiations")
+
+    @pytest.mark.parametrize("mode", ["on", "auto"])
+    def test_an_or_free_child_holding_the_root_rejects_unbuilt(self, monkeypatch, mode):
+        # that child has one unfolding, so the root repeats on every
+        # unfolding of the candidate, whatever else its store holds
+        walked = []
+
+        def checked(e):
+            if e._verdict is None:
+                walked.append(e)
+                assert not any(
+                    not has_or(c) and e.root in cone(c) for c in e.children
+                ), (str(e.root), mode)
+            return is_hereditarily_redundant(e)
+
+        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", checked)
+        for text in self.PROGRAMS:
+            reason(normalize(parse_program(text)), mode)
+        assert walked
+
+    def test_collapsed_powerlaw_builds_few_entries(self, monkeypatch):
+        built = 0
+        post_init = DerivationEntry.__post_init__
+
+        def counted(self, clauses):
+            nonlocal built
+            built += 1
+            post_init(self, clauses)
+
+        monkeypatch.setattr(DerivationEntry, "__post_init__", counted)
+        result = reason(normalize(parse_program(powerlaw_program(100, 0))), "on")
+        assert result.stats.total("entries_stored") == 444
+        assert result.stats.total("entries_allocated") == 3956
+        # 644 with the rejection above; 2,516 if any store holding an OR
+        # entry made a node build every candidate
+        assert built <= 700
 
     def test_or_entry_seen_under_two_ancestor_sets(self):
         # the same OR entry is clean below one ancestor and not below another
