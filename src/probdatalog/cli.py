@@ -212,19 +212,18 @@ def _answers(
             ]
     lineage_ms = _ms(t0)
 
-    bounds: Dict[Atom, List[float]] = {}
-    if want_bounds:
-        for ans in answers:
-            bounds[ans.fact] = [
-                _compute_probability(snap.get(ans.fact, FALSE), prog.weights, args.solver)
-                for snap in history
-            ]
-
     t0 = time.perf_counter()
-    answers = [
-        Answer(a.fact, a.lineage, _compute_probability(a.lineage, prog.weights, args.solver))
-        for a in answers
-    ]
+    solved: Dict[Dnf, float] = {}  # this call's solves, one per distinct lineage
+
+    def prob(dnf: Dnf) -> float:
+        if dnf not in solved:
+            solved[dnf] = _compute_probability(dnf, prog.weights, args.solver)
+        return solved[dnf]
+
+    bounds = {
+        a.fact: [prob(snap.get(a.fact, FALSE)) for snap in history] for a in answers if want_bounds
+    }
+    answers = [Answer(a.fact, a.lineage, prob(a.lineage)) for a in answers]
     stats["time_ms"] = {"reason": reason_ms, "lineage": lineage_ms, "prob": _ms(t0)}
     return answers, bounds, stats
 

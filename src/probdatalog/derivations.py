@@ -9,10 +9,11 @@ materialized into full trees during reasoning; redundancy and formula
 extraction walk the shared structure instead.
 
 Graph growth hands each node its groundings, so instantiation joins
-nothing.  An entry sets its OR-freeness and lineage clause when built, and
-caches its cone of facts and own redundancy verdict when first read; a
-leaf answers all four alike.  Instantiation rejects a candidate unbuilt
-when an OR-free child's cone holds its root, yet `allocated` counts it.
+nothing.  An entry sets its lineage clause when built, None iff an OR
+entry lies in its DAG, so OR-freeness is read from the clause; it caches
+its cone and own redundancy verdict when first read, and a leaf answers
+all three alike.  Instantiation rejects a candidate unbuilt when an
+OR-free child's cone holds its root, yet `allocated` counts it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ EMPTY: frozenset = frozenset()
 @dataclass(frozen=True)
 class Leaf:
     """A database fact at the fringe of a derivation, by variable id.  It
-    answers like an entry: no fact in its cone, no OR, clean, one clause."""
+    answers like an entry: no fact in its cone, clean, one clause."""
 
     var: int
     _clause: frozenset = field(init=False, repr=False, compare=False)
-    _cone, _or_free, _verdict = EMPTY, True, True
+    _cone, _verdict = EMPTY, True
 
     def __post_init__(self):
         object.__setattr__(self, "_clause", frozenset((self.var,)))
@@ -50,8 +51,8 @@ class Leaf:
 
 @dataclass(eq=False, slots=True)
 class DerivationEntry:
-    """One stored derivation.  Its OR-freeness and clause (None with an OR
-    in its DAG) are set when built; `clauses` makes equal clauses one object."""
+    """One stored derivation.  Its clause is set when built, None with an
+    OR in its DAG; `clauses` makes equal clauses one object."""
 
     root: Atom
     label: Label
@@ -60,13 +61,12 @@ class DerivationEntry:
     home: int  # owning execution-graph node
     clauses: InitVar[Optional[dict]] = None
     _cone: Optional[frozenset] = field(default=None, init=False, repr=False)
-    _or_free: bool = field(init=False, repr=False)
     _verdict: Optional[bool] = field(default=None, init=False, repr=False)
     _clause: Optional[frozenset] = field(init=False, repr=False)
 
     def __post_init__(self, clauses):
-        self._or_free = self.label is Label.AND and all(c._or_free for c in self.children)
-        clause = EMPTY.union(*[c._clause for c in self.children]) if self._or_free else None
+        parts = [c._clause for c in self.children]
+        clause = EMPTY.union(*parts) if self.label is Label.AND and None not in parts else None
         self._clause = clause if clauses is None else clauses.setdefault(clause, clause)
 
 
@@ -78,15 +78,17 @@ class NodeStore:
     """Stored (non-redundant) derivations of one execution-graph node."""
 
     owner: int
-    entries: List[DerivationEntry] = field(default_factory=list)
     by_root: Dict[Atom, List[DerivationEntry]] = field(default_factory=dict)
 
     def add(self, entry: DerivationEntry) -> None:
-        self.entries.append(entry)
         self.by_root.setdefault(entry.root, []).append(entry)
 
+    @property
+    def entries(self) -> List[DerivationEntry]:
+        return [e for bucket in self.by_root.values() for e in bucket]
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.by_root.values()))
 
 
 class FactIndex:
@@ -157,11 +159,11 @@ def instantiate_node(
                 bucket.append(DerivationEntry(root, Label.AND, combo, node.id, clauses))
                 continue
             for c in combo:
-                if c._or_free and root in _atom_cone(c):
+                if c._clause is not None and root in _atom_cone(c):
                     break
             else:
                 entry = DerivationEntry(root, Label.AND, combo, node.id, clauses)
-                if entry._or_free:
+                if entry._clause is not None:
                     entry._verdict = True  # no path repeats a fact
                 bucket.append(entry)
     return result
@@ -203,7 +205,7 @@ def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
 
     def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
         relevant = ancestors and ancestors & _atom_cone(x)
-        if relevant and x._or_free:
+        if relevant and x._clause is not None:
             return False
         key = (id(x), relevant)
         cached = memo.get(key) if relevant else x._verdict

@@ -31,7 +31,6 @@ class Symbol:
     """Interned symbol; build through `constant`, `variable` or `predicate`."""
 
     kind: SymbolKind
-    id: int
     text: str
 
     def __str__(self) -> str:
@@ -42,16 +41,14 @@ class Symbol:
 
 
 def _interner(kind: SymbolKind) -> Callable[[str], Symbol]:
-    """The intern function of one kind, over its own table.  Same text
-    within a kind always yields the same Symbol object, so (kind, id) <->
-    text is bijective.  No lookup hashes the kind (`Enum.__hash__` is
-    Python code)."""
+    """The intern function of one kind, over its own table: same text, same
+    Symbol object.  No lookup hashes the kind (`Enum.__hash__` is Python code)."""
     table: dict[str, Symbol] = {}
 
     def intern(text: str) -> Symbol:
         sym = table.get(text)
         if sym is None:
-            sym = table[text] = Symbol(kind, len(table), text)
+            sym = table[text] = Symbol(kind, text)
         return sym
 
     return intern

@@ -155,8 +155,8 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                         allocated_total += 1
                     for e in entries:
                         store.add(e)
-                rs.entries_stored += len(store.entries)
-                if not store.entries:
+                rs.entries_stored += len(store)
+                if not store.by_root:
                     g.remove_node(v.id)
                 if allocated_total > cap:
                     raise EntryBudgetError("entry budget exceeded")

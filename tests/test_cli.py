@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example, reason
 from oracles import path_probability
-from probdatalog import Dnf, cli, collect_lineage, normalize, parse_program
+from probdatalog import Dnf, cli, collect_lineage, normalize, parse_program, probability
+from test_wmc import reliability_text
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +202,52 @@ class TestRun:
         r1["stats"].pop("time_ms")
         r2["stats"].pop("time_ms")
         assert r1 == r2
+
+
+class TestBoundsSolves:
+    """`--bounds` solves each distinct lineage once, and `time_ms.prob`
+    covers every solve, the bounds' included."""
+
+    @pytest.mark.parametrize("command", [
+        ("run", "--collapse", "off"), ("run", "--collapse", "on"),
+        ("oracle", "--engine", "tcp"), ("oracle", "--engine", "delta-tcp"),
+    ], ids=["run-off", "run-on", "tcp", "delta-tcp"])
+    def test_each_distinct_lineage_is_solved_once(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "reliability.pl"
+        path.write_text(reliability_text(3, 5, 0))
+        solved = []
+
+        def counted(dnf, weights):
+            solved.append(dnf)
+            return probability(dnf, weights)
+
+        monkeypatch.setattr(cli, "probability", counted)
+        code, report = run_json(
+            capsys, *command, "--program", str(path), "--query", "p(s,t)", "--bounds"
+        )
+        assert code == 0
+        (ans,) = report["answers"]
+        assert len(solved) == len(set(solved))
+        assert [len(d.clauses) for d in solved].count(125) == 1
+        assert ans["bounds"][-1] == ans["probability"]
+
+    def test_prob_time_covers_the_bounds(self, capsys, monkeypatch, running_file):
+        # p(a,b) gains its second derivation in round 2: two lineages
+        pause = 0.05
+        solved = []
+
+        def slow(dnf, weights):
+            solved.append(dnf)
+            time.sleep(pause)
+            return probability(dnf, weights)
+
+        monkeypatch.setattr(cli, "probability", slow)
+        _, report = run_json(
+            capsys, "run", "--program", running_file, "--query", "p(a,b)", "--bounds",
+            "--stats",
+        )
+        assert len(set(solved)) == 2
+        assert report["stats"]["time_ms"]["prob"] >= 1000 * pause * len(set(solved))
 
 
 class TestErrors:

@@ -255,13 +255,23 @@ def stored_as_rebuilt(result, mode, redundant):
     """Rebuild every node's candidates in full from its groundings against
     the stores it was instantiated on, keep those that `redundant` does not
     reject, collapse each root's kept ones as the run did, and check that
-    the node stored exactly those, in order.  Returns each candidate with
-    its verdict, the ones the run rejected before building them included."""
+    the node stored exactly those, in order.  Along the way, check that an
+    entry's clause is None exactly when an OR entry lies in its DAG, and
+    that a store's entries are its non-empty root buckets in order.  Returns
+    each candidate with its verdict, the ones the run rejected before
+    building them included."""
     verdicts = []
     threshold = ReasonerOptions().threshold
     for node in result.graph.nodes:
-        for e in result.stores[node.id].entries:
+        store = result.stores[node.id]
+        buckets = list(store.by_root.items())
+        assert all(entries for _, entries in buckets)
+        assert all(e.root == root for root, entries in buckets for e in entries)
+        assert store.entries == [e for _, entries in buckets for e in entries]
+        assert len(store) == len(store.entries)
+        for e in store.entries:
             assert _atom_cone(e) == cone(e)
+            assert (e._clause is None) == has_or(e)
         found = node_groundings(node, result.facts, result.stores)
         by_root = instantiate_node(node, found, result.facts, result.stores).by_root
         collapsing = mode == "on" or (
@@ -272,6 +282,7 @@ def stored_as_rebuilt(result, mode, redundant):
             kept = []
             for e in entries:
                 assert _atom_cone(e) == cone(e)
+                assert (e._clause is None) == has_or(e)
                 out = redundant(e)
                 verdicts.append((e, out))
                 if not out:

@@ -38,7 +38,7 @@ class TestSymbols:
         assert constant("a") is constant("a")
         assert variable("X") is variable("X")
         assert predicate("p") is predicate("p")
-        assert constant("a").id != constant("b").id
+        assert constant("a") is not constant("b")
 
     def test_kinds_are_separate_namespaces(self):
         # the same text may name a constant and a predicate
