@@ -11,9 +11,9 @@ extraction walk the shared structure instead.
 Graph growth hands each node its groundings, so instantiation joins
 nothing.  An entry sets its lineage clause when built, None iff an OR
 entry lies in its DAG, so OR-freeness is read from the clause; it caches
-its cone and own redundancy verdict when first read, and a leaf answers
-all three alike.  Instantiation rejects a candidate unbuilt when an
-OR-free child's cone holds its root, yet `allocated` counts it.
+its cone when first read, and a leaf answers both alike.  Redundancy is
+decided once per candidate, from its root and children, before the
+candidate is built; `allocated` counts rejected candidates too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from .graph import EgNode, Grounding
 from .model import Atom, EntryBudgetError, ProbFact, RuleKind
@@ -39,11 +39,11 @@ EMPTY: frozenset = frozenset()
 @dataclass(frozen=True)
 class Leaf:
     """A database fact at the fringe of a derivation, by variable id.  It
-    answers like an entry: no fact in its cone, clean, one clause."""
+    answers like an entry: no fact in its cone, one clause."""
 
     var: int
     _clause: frozenset = field(init=False, repr=False, compare=False)
-    _cone, _verdict = EMPTY, True
+    _cone = EMPTY
 
     def __post_init__(self):
         object.__setattr__(self, "_clause", frozenset((self.var,)))
@@ -61,7 +61,6 @@ class DerivationEntry:
     home: int  # owning execution-graph node
     clauses: InitVar[Optional[dict]] = None
     _cone: Optional[frozenset] = field(default=None, init=False, repr=False)
-    _verdict: Optional[bool] = field(default=None, init=False, repr=False)
     _clause: Optional[frozenset] = field(init=False, repr=False)
 
     def __post_init__(self, clauses):
@@ -119,24 +118,20 @@ def instantiate_node(
     facts: FactIndex,
     stores: Mapping[int, NodeStore],
     budget: float = float("inf"),
-    prune: bool = False,
+    redundant: Optional[Callable[[Atom, tuple], bool]] = None,
 ) -> InstantiationResult:
     """Candidate derivations of one node from its groundings, by root fact.
 
     The i-th chosen fact of a grounding is a root fact of a store: the
     database's for a base-rule node, the i-th parent's otherwise.  Each
-    grounding yields one AND entry per element of the Cartesian product of
-    the chosen facts' entry lists, so a base-rule grounding yields exactly
-    one entry, with leaf children.
+    grounding yields one AND candidate per element of the Cartesian
+    product of the chosen facts' entry lists, so a base-rule grounding
+    yields exactly one, with leaf children.
 
-    With `prune`, for a caller that keeps only non-redundant candidates,
-    a candidate is not built when an OR-free child's cone holds its root:
-    that child has one unfolding, so the root repeats on every unfolding
-    of the candidate.  A built candidate on OR-free children only is
-    clean, since a stored plain child repeats no fact on any path, and
-    gets its verdict cached; `is_hereditarily_redundant` decides the rest.
-    `allocated` counts every candidate, built or rejected, so pruning
-    never moves a budget trip.  Equal clauses built here are one object.
+    A candidate is built unless `redundant(root, children)` holds; with
+    `redundant` None every candidate is built.  `allocated` counts every
+    candidate, built or rejected, so the check never moves a budget trip.
+    Equal clauses built here are one object.
     """
     out: Dict[Atom, List[DerivationEntry]] = {}
     result = InstantiationResult(out)
@@ -155,17 +150,8 @@ def instantiate_node(
                 raise EntryBudgetError(
                     f"entry budget exceeded while instantiating node {node.id}"
                 )
-            if not prune:
+            if redundant is None or not redundant(root, combo):
                 bucket.append(DerivationEntry(root, Label.AND, combo, node.id, clauses))
-                continue
-            for c in combo:
-                if c._clause is not None and root in _atom_cone(c):
-                    break
-            else:
-                entry = DerivationEntry(root, Label.AND, combo, node.id, clauses)
-                if entry._clause is not None:
-                    entry._verdict = True  # no path repeats a fact
-                bucket.append(entry)
     return result
 
 
@@ -181,52 +167,52 @@ def _atom_cone(x: Child) -> frozenset[Atom]:
     return cached
 
 
-def is_hereditarily_redundant(entry: DerivationEntry) -> bool:
-    """True iff in every unfolding of `entry` some fact repeats along a
-    root-to-leaf path.  An unfolding keeps one alternative of each OR entry.
+def is_hereditarily_redundant(root: Atom, children: Sequence[Child]) -> bool:
+    """True iff in every unfolding of the AND candidate `root :- children`
+    (one alternative kept for each OR entry) some fact repeats along a
+    root-to-leaf path.  Replacing the repeated fact's subtree by its inner
+    occurrence then yields a smaller derivation with a subsuming clause.
 
-    Such a derivation is subsumed: replacing the repeated fact's subtree by
-    its inner occurrence yields a smaller derivation with a subsuming
-    clause.  The paper's rule looks only for the entry's own root fact.  On
-    plain stores the two agree: a stored plain entry passed this check, so
-    no path inside it repeats a fact, and a candidate built on such entries
-    can repeat only its own root.  A collapsed OR entry, though, may carry
-    alternatives that repeat some inner fact; the root-only rule never
-    rejects derivations built on those, and collapsed reasoning would keep
-    deriving them and lose termination parity with plain reasoning.
-
-    A subtree x is decided by the ancestors in its cone: with none, by its
-    own verdict, cached on the entry; with some and an OR-free DAG, it has
-    one unfolding, which repeats them; otherwise by a memoized walk.
+    Precondition: every child is stored, so it has an unfolding that
+    repeats no fact, and a child whose cone lacks `root` keeps one below
+    the candidate.  A child whose cone holds `root` makes the candidate
+    redundant when it is OR-free, since its one unfolding repeats the root,
+    or when a walk finds no unfolding of it clean below the root.  On plain
+    stores this is the paper's rule, which looks only for the root; on
+    collapsed ones that rule would keep derivations built on alternatives
+    that repeat an inner fact, and lose termination parity with plain runs.
     """
-    if entry._verdict is not None:  # built on OR-free children, or walked
-        return not entry._verdict
-    memo: Dict[tuple, bool] = {}
+    for c in children:
+        if root in _atom_cone(c):
+            if c._clause is not None or not _clean(c, frozenset((root,)), {}):
+                return True
+    return False
 
-    def ok(x: Child, ancestors: frozenset[Atom]) -> bool:
-        relevant = ancestors and ancestors & _atom_cone(x)
-        if relevant and x._clause is not None:
-            return False
-        key = (id(x), relevant)
-        cached = memo.get(key) if relevant else x._verdict
-        if cached is not None:
-            return cached
-        if x.root in relevant:
-            res = False
-        elif x.label is Label.AND:
-            below = relevant | {x.root}
-            res = all(ok(c, below) for c in x.children)
-        else:
-            # OR alternatives share the entry's root; the unfolding keeps
-            # exactly one of them, so ancestors are not extended here.
-            res = any(ok(c, relevant) for c in x.children)
-        if relevant:
-            memo[key] = res
-        else:
-            x._verdict = res
-        return res
 
-    return not ok(entry, EMPTY)
+def _clean(x: Child, ancestors: frozenset[Atom], memo: Dict[tuple, bool]) -> bool:
+    """True iff some unfolding of stored subtree `x` repeats no fact on a
+    path, `ancestors` (the facts above it) included.  Only entries with an
+    OR entry in their DAG and an ancestor in their cone are walked."""
+    relevant = ancestors & _atom_cone(x)
+    if not relevant:
+        return True  # the precondition
+    if x._clause is not None:
+        return False  # its one unfolding repeats the ancestor
+    key = (id(x), relevant)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    if x.root in relevant:
+        res = False
+    elif x.label is Label.AND:
+        below = relevant | {x.root}
+        res = all(_clean(c, below, memo) for c in x.children)
+    else:
+        # OR alternatives share the entry's root; the unfolding keeps
+        # exactly one of them, so ancestors are not extended here.
+        res = any(_clean(c, relevant, memo) for c in x.children)
+    memo[key] = res
+    return res
 
 
 # ---------------------------------------------------------------------------

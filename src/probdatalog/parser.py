@@ -76,7 +76,8 @@ def _is_bad(tok: str) -> bool:
 
 
 class _Unexpected(Exception):
-    """args: (index of the token, what the grammar expects there)."""
+    """args: (index of the token, what the grammar expects there or None
+    where a predicate is named `query`)."""
 
 
 def _read(rule, line: str, lineno: int):
@@ -94,6 +95,8 @@ def _read(rule, line: str, lineno: int):
     found, col = "", len(line) + 1
     if index < len(matches):
         found, col = matches[index].group(), matches[index].start() + 1
+    if expected is None:
+        raise ParseError("'query' is reserved for the query directive", lineno, col)
     raise ParseError(f"expected {expected} but found {found!r}", lineno, col)
 
 
@@ -102,6 +105,8 @@ def _atom(toks: list[str], i: int) -> tuple[Atom, int]:
     name = toks[i]
     if _TERM.get(name[:1]) is not constant:
         raise _Unexpected(i, "IDENT")
+    if name == "query":
+        raise _Unexpected(i, None)
     if toks[i + 1] != "(":
         return Atom(predicate(name)), i + 1
     args = []
@@ -136,13 +141,21 @@ def _clause(toks: list[str]) -> tuple:
             raise _Unexpected(1, "PROB")
         i = 2
     elif toks[0] == "query":
-        if toks[1] != "(":
-            raise _Unexpected(1, "LPAR")
-        head, i = _atom(toks, 2)
-        if toks[i] != ")":
-            raise _Unexpected(i, "RPAR")
-        _end(toks, i + 1)
-        return "query", None, head, ()
+        try:
+            if toks[1] != "(":
+                raise _Unexpected(1, "LPAR")
+            head, i = _atom(toks, 2)
+            if toks[i] != ")":
+                raise _Unexpected(i, "RPAR")
+            _end(toks, i + 1)
+            return "query", None, head, ()
+        except _Unexpected as e:
+            error = e
+        try:  # a line that reads as a fact or rule about `query` misuses it
+            _clause(["q" if t == "query" else t for t in toks])
+        except _Unexpected:
+            raise error from None
+        raise _Unexpected(0, None)
     head, i = _atom(toks, i)
     if toks[i] == ".":
         _end(toks, i)

@@ -1,10 +1,10 @@
 """Round-based reasoning loops that populate an execution graph.
 
 Each round extends the graph by one depth level, with a node only for
-parents whose stored root facts join the rule body, turns the groundings
-that join found into the candidate derivations of every fresh node, keeps
-the non-redundant ones, optionally collapses each root's survivors into
-one OR entry, and removes nodes that stored nothing.  The loop stops when
+parents whose stored root facts join the rule body, builds from the
+groundings that join found the non-redundant candidate derivations of
+every fresh node, optionally collapses each root's candidates into one OR
+entry, and removes nodes that stored nothing.  The loop stops when
 a round stores nothing: the graph depth has then stopped growing.
 """
 
@@ -132,7 +132,8 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 grown = inductive_step(g, rules, k, roots, cap - allocated_total)
             for v, found in grown:
                 inst = instantiate_node(
-                    v, found, facts, stores, cap - allocated_total, opts.redundancy_filter
+                    v, found, facts, stores, cap - allocated_total,
+                    is_hereditarily_redundant if opts.redundancy_filter else None,
                 )
                 allocated_total += inst.allocated
                 rs.entries_allocated += inst.allocated
@@ -145,8 +146,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
 
                 store = NodeStore(v.id)
                 for entries in inst.by_root.values():
-                    if opts.redundancy_filter:
-                        entries = [e for e in entries if not is_hereditarily_redundant(e)]
                     if collapsing and len(entries) > 1:
                         # its alternatives are clean, so the OR entry is too
                         entries = [collapse(entries)]

@@ -284,6 +284,18 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["type"] == "parse"
 
+    @pytest.mark.parametrize(
+        "text", ["0.5::query(a).", "0.5::query(X) :- e(X).", "p :- query, e(a).", "query(X) :- e(X)."]
+    )
+    def test_reserved_query_predicate_exits_1(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.pl"
+        bad.write_text(f"e(a).\n{text}\n")
+        code, out = run_cli(capsys, "run", "--program", str(bad), "--query", "e(a)")
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "parse"
+        assert "line 2, column" in error["message"] and "'query' is reserved" in error["message"]
+
     def test_missing_file_exits_1(self, capsys):
         code, out = run_cli(capsys, "run", "--program", "/nonexistent.pl", "--query", "p(a,b)")
         assert code == 1

@@ -43,13 +43,14 @@ def run_rounds(prog, depth, filter_redundant=True):
             grown = [(v, base_groundings(v, facts)) for v in g.live_nodes()]
         else:
             grown = inductive_step(g, prog.rules, k, root_map(stores))
+        redundant = is_hereditarily_redundant if filter_redundant else None
         for v, found in grown:
             store = NodeStore(v.id)
             stores[v.id] = store
-            for entries in instantiate_node(v, found, facts, stores).by_root.values():
+            inst = instantiate_node(v, found, facts, stores, redundant=redundant)
+            for entries in inst.by_root.values():
                 for e in entries:
-                    if not filter_redundant or not is_hereditarily_redundant(e):
-                        store.add(e)
+                    store.add(e)
             if not store.entries:
                 g.remove_node(v.id)
     return g, stores
@@ -78,6 +79,11 @@ def repeats_on_a_path(x, above=frozenset()) -> bool:
     if x.root in above:
         return True
     return any(repeats_on_a_path(c, above | {x.root}) for c in x.children)
+
+
+def redundant(e) -> bool:
+    """The check on an AND entry, by its root and children."""
+    return is_hereditarily_redundant(e.root, e.children)
 
 
 def count_atom(x, target) -> int:
@@ -137,7 +143,7 @@ class TestRedundancy:
     def test_depth_two_derivation_is_not_redundant(self, running_prog):
         _, stores = run_rounds(running_prog, 2)
         (entry,) = stores[1].by_root[parse_atom("p(a,b)")]
-        assert not is_hereditarily_redundant(entry)
+        assert not redundant(entry)
 
     def test_round_three_candidates_all_redundant(self, running_prog):
         g, stores = run_rounds(running_prog, 2)
@@ -147,7 +153,7 @@ class TestRedundancy:
             result = instantiate_node(v, found, facts, stores)
             candidates += [e for es in result.by_root.values() for e in es]
         assert candidates
-        assert all(is_hereditarily_redundant(e) for e in candidates)
+        assert all(redundant(e) for e in candidates)
         # cross-check against the materialized definition
         for e in candidates:
             trees = list(unfold(e))
@@ -167,53 +173,57 @@ class TestRedundancy:
         trees = list(unfold(entry))
         assert any(count_atom(t, r_atom) > 1 for t in trees)
         assert any(count_atom(t, r_atom) == 1 for t in trees)
-        assert not is_hereditarily_redundant(entry)
+        assert not redundant(entry)
 
     def test_redundancy_matches_brute_force_on_random_dags(self):
+        # DAGs grown the way stores grow: a candidate joins the pool only
+        # when brute force finds an unfolding of it that repeats no fact,
+        # and an OR entry replaces same-root pool entries, as collapsing does
         rng = random.Random(7)
         preds = [atom(f"d{i}") for i in range(6)]
-        for _ in range(300):
-            entries = [
-                DerivationEntry(rng.choice(preds), Label.AND, (Leaf(rng.randrange(4)),), 0)
-            ]
-            for _ in range(rng.randint(2, 10)):
-                k = rng.randint(1, min(3, len(entries)))
-                children = tuple(rng.choice(entries) for _ in range(k))
-                if rng.random() < 0.4 and len({c.root for c in children}) == 1:
-                    entries.append(
-                        DerivationEntry(children[0].root, Label.OR, children, 0)
-                    )
-                else:
-                    if rng.random() < 0.5:
-                        children += (Leaf(rng.randrange(4)),)
-                    entries.append(
-                        DerivationEntry(rng.choice(preds), Label.AND, children, 0)
-                    )
-            e = entries[-1]
-            trees = list(unfold(e))
-            if len(trees) > 1000:
-                continue
-            brute = all(repeats_on_a_path(t) for t in trees)
-            assert is_hereditarily_redundant(e) == brute
+        checked = rejected = walked = 0
+        for _ in range(600):
+            pool = [DerivationEntry(p, Label.AND, (Leaf(i),), 0) for i, p in enumerate(preds[:3])]
+            for _ in range(rng.randint(2, 30)):
+                same = [e for e in pool if e.root == pool[-1].root]
+                if rng.random() < 0.3 and len(same) > 1:
+                    pool = [e for e in pool if e.root != same[0].root] + [collapse(same)]
+                    continue
+                k = rng.randint(1, min(3, len(pool)))
+                children = tuple(rng.choice(pool) for _ in range(k))
+                if rng.random() < 0.5:
+                    children += (Leaf(rng.randrange(4)),)
+                candidate = DerivationEntry(rng.choice(preds), Label.AND, children, 0)
+                trees = list(unfold(candidate))
+                if len(trees) > 200:
+                    continue
+                brute = all(repeats_on_a_path(t) for t in trees)
+                assert is_hereditarily_redundant(candidate.root, children) == brute
+                checked += 1
+                rejected += brute
+                walked += reaches_the_walk(candidate)
+                if not brute:
+                    pool.append(candidate)
+        assert (checked, rejected, walked) == (8342, 3810, 1579)
 
     def test_hereditary_check_is_strictly_stronger(self):
-        # both alternatives repeat some inner fact, neither repeats the root
-        beta, gamma, delta, alpha = atom("b"), atom("g"), atom("d"), atom("a")
-
-        def chain(root, inner):
-            deep = DerivationEntry(inner, Label.AND, (Leaf(0),), 0)
-            mid = DerivationEntry(inner, Label.AND, (deep,), 0)
-            return DerivationEntry(root, Label.AND, (mid,), 0)
-
-        alt1, alt2 = chain(beta, gamma), chain(beta, delta)
-        or_entry = collapse([alt1, alt2])
-        top = DerivationEntry(alpha, Label.AND, (or_entry,), 0)
+        # the candidate r :- b repeats r on one unfolding and b on the other,
+        # through an OR entry whose stored holder b has one clean unfolding
+        r, b, c = atom("r"), atom("b"), atom("c")
+        r_leaf = DerivationEntry(r, Label.AND, (Leaf(0),), 0)
+        b_leaf = DerivationEntry(b, Label.AND, (Leaf(1),), 0)
+        c1 = DerivationEntry(c, Label.AND, (r_leaf,), 0)
+        c2 = DerivationEntry(c, Label.AND, (b_leaf,), 0)
+        a1 = DerivationEntry(b, Label.AND, (collapse([c1, c2]),), 0)
+        assert not redundant_by_unfolding(a1)  # within the precondition
+        top = DerivationEntry(r, Label.AND, (a1,), 0)
         assert not root_only_redundant(top)
-        assert is_hereditarily_redundant(top)
+        assert redundant_by_unfolding(top)
+        assert is_hereditarily_redundant(r, (a1,))
         # on entries whose unfoldings are path-distinct the notions agree
-        clean = DerivationEntry(alpha, Label.AND, (Leaf(0), Leaf(1)), 0)
+        clean = DerivationEntry(atom("a"), Label.AND, (Leaf(0), Leaf(1)), 0)
         assert not root_only_redundant(clean)
-        assert not is_hereditarily_redundant(clean)
+        assert not redundant(clean)
 
     @pytest.mark.parametrize(
         "text", [RUNNING_EXAMPLE, *corpus(40)], ids=["running", *map(str, range(40))]
@@ -224,7 +234,7 @@ class TestRedundancy:
         # built from plain stores both give the paper's root-only answer
         def both(e):
             out = root_only_redundant(e)
-            assert is_hereditarily_redundant(e) == out
+            assert redundant(e) == out
             return out
 
         verdicts = stored_as_rebuilt(reason(normalize(parse_program(text))), "off", both)
@@ -296,17 +306,17 @@ def stored_as_rebuilt(result, mode, redundant):
 
 def reaches_the_walk(e) -> bool:
     """True iff checking `e` meets a child whose DAG has an OR entry and
-    whose cone holds e's root: neither a cached verdict nor the OR-free
-    rule decides that child, so the memoized walk runs."""
+    whose cone holds e's root: the OR-free rule does not decide that
+    child, so the memoized walk runs."""
     return e.label is Label.AND and any(
         has_or(c) and e.root in cone(c) for c in e.children
     )
 
 
 class TestRedundancyCases:
-    """`is_hereditarily_redundant` decides a subtree by a verdict cached on
-    the entry, by the OR-free rule, or by a memoized walk; each must give
-    the answer of the definition."""
+    """`is_hereditarily_redundant` decides a candidate by the OR-free rule
+    or by a memoized walk, and leans on the precondition that every stored
+    entry is clean; each must give the answer of the definition."""
 
     # Under `auto` too, collapse_example(12) feeds stores holding OR
     # entries to later nodes, and reachability over the complete digraph
@@ -323,14 +333,14 @@ class TestRedundancyCases:
     def test_every_candidate_verdict_matches_its_unfoldings(self, mode):
         def against_definition(e):
             out = redundant_by_unfolding(e)
-            assert is_hereditarily_redundant(e) == out, (str(e.root), mode)
+            assert redundant(e) == out, (str(e.root), mode)
             return out
 
         verdicts = []
         for text in self.PROGRAMS:
             prog = normalize(parse_program(text))
-            # twice in one process: a verdict cached in one run is never
-            # read by the next, whose entries are all fresh
+            # twice in one process: a cone cached in one run is never read
+            # by the next, whose entries are all fresh
             first, second = (reason(prog, mode) for _ in range(2))
             assert first.live_store_sizes() == second.live_store_sizes()
             verdicts += stored_as_rebuilt(first, mode, against_definition)
@@ -352,64 +362,78 @@ class TestRedundancyCases:
         assert len(calls) == len(result.graph.nodes)
         assert sum(c.substitutions for c in calls) == result.stats.total("instantiations")
 
-    @pytest.mark.parametrize("mode", ["on", "auto"])
-    def test_an_or_free_child_holding_the_root_rejects_unbuilt(self, monkeypatch, mode):
-        # that child has one unfolding, so the root repeats on every
-        # unfolding of the candidate, whatever else its store holds
-        walked = []
-
-        def checked(e):
-            if e._verdict is None:
-                walked.append(e)
-                assert not any(
-                    not has_or(c) and e.root in cone(c) for c in e.children
-                ), (str(e.root), mode)
-            return is_hereditarily_redundant(e)
-
-        monkeypatch.setattr(reasoner, "is_hereditarily_redundant", checked)
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_every_stored_entry_has_a_clean_unfolding(self, mode):
+        # the check's precondition: a stored entry, OR entries included,
+        # has an unfolding that repeats no fact
         for text in self.PROGRAMS:
-            reason(normalize(parse_program(text)), mode)
-        assert walked
+            result = reason(normalize(parse_program(text)), mode)
+            for store in result.stores.values():
+                for e in store.entries:
+                    assert not redundant_by_unfolding(e), (str(e.root), mode)
+
+    @pytest.mark.parametrize("mode", ["off", "on", "auto"])
+    def test_nothing_built_is_discarded(self, monkeypatch, mode):
+        # each AND entry a node builds is stored, or is an alternative of the
+        # OR entry its root's entries collapse into
+        built = {}
+
+        def recorded(node, *args):
+            inst = instantiate_node(node, *args)
+            built[node.id] = [e for es in inst.by_root.values() for e in es]
+            return inst
+
+        monkeypatch.setattr(reasoner, "instantiate_node", recorded)
+        for text in self.PROGRAMS:
+            built.clear()
+            result = reason(normalize(parse_program(text)), mode)
+            for node_id, entries in built.items():
+                assert list(map(id, entries)) == list(map(id, kept(result.stores[node_id])))
 
     def test_collapsed_powerlaw_builds_few_entries(self, monkeypatch):
-        built = 0
+        built = {Label.AND: 0, Label.OR: 0}
         post_init = DerivationEntry.__post_init__
 
         def counted(self, clauses):
-            nonlocal built
-            built += 1
+            built[self.label] += 1
             post_init(self, clauses)
 
         monkeypatch.setattr(DerivationEntry, "__post_init__", counted)
         result = reason(normalize(parse_program(powerlaw_program(100, 0))), "on")
         assert result.stats.total("entries_stored") == 444
         assert result.stats.total("entries_allocated") == 3956
-        # 644 with the rejection above; 2,516 if any store holding an OR
-        # entry made a node build every candidate
-        assert built <= 700
+        stored = [e for s in result.stores.values() for e in s.entries]
+        plain = [e for e in stored if e.label is Label.AND]
+        alternatives = sum(len(e.children) for e in stored if e.label is Label.OR)
+        # 602 AND entries when a check after building discarded 114 of them
+        assert (built[Label.AND], len(plain), alternatives) == (488, 402, 86)
+        assert built[Label.OR] == len(stored) - len(plain) == 42
 
     def test_or_entry_seen_under_two_ancestor_sets(self):
-        # the same OR entry is clean below one ancestor and not below another
-        b, c, d, top1, top2 = atom("b"), atom("c"), atom("d"), atom("t1"), atom("t2")
+        # the same OR entry is clean below one ancestor and not below two
+        b, c, d = atom("b"), atom("c"), atom("d")
         c_leaf = DerivationEntry(c, Label.AND, (Leaf(0),), 0)
         d_leaf = DerivationEntry(d, Label.AND, (Leaf(1),), 0)
         or_b = collapse([
             DerivationEntry(b, Label.AND, (c_leaf,), 0),
             DerivationEntry(b, Label.AND, (d_leaf,), 0),
         ])
-        via_c = DerivationEntry(c, Label.AND, (or_b,), 0)
-        via_cd = DerivationEntry(top1, Label.AND, (
-            DerivationEntry(d, Label.AND, (via_c,), 0),
-        ), 0)
-        assert not is_hereditarily_redundant(or_b)
-        assert not is_hereditarily_redundant(via_c)  # keeps the d branch
-        assert is_hereditarily_redundant(via_cd)  # c and d both repeat
-        plain = DerivationEntry(top2, Label.AND, (
-            DerivationEntry(c, Label.AND, (or_b.children[0],), 0),
-        ), 0)
-        assert is_hereditarily_redundant(plain)  # one unfolding, c repeats
-        for e in (or_b, via_c, via_cd, plain):
-            assert is_hereditarily_redundant(e) == redundant_by_unfolding(e)
+        via_d = DerivationEntry(d, Label.AND, (or_b,), 0)  # keeps the c branch
+        assert not redundant_by_unfolding(via_d)
+        cases = [
+            (c, (or_b,), False),  # keeps the d branch
+            (c, (or_b, via_d), True),  # below via_d, c and d both repeat
+            (c, (or_b.children[0],), True),  # one unfolding, c repeats
+        ]
+        for root, children, expected in cases:
+            assert is_hereditarily_redundant(root, children) is expected
+            candidate = DerivationEntry(root, Label.AND, children, 0)
+            assert redundant_by_unfolding(candidate) is expected
+
+
+def kept(store):
+    """A store's AND entries and the alternatives of its OR entries, in order."""
+    return [a for e in store.entries for a in (e.children if e.label is Label.OR else (e,))]
 
 
 def test_entry_repr_does_not_grow_with_its_dag():

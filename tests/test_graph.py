@@ -239,11 +239,11 @@ class TestJoinDrivenGrowth:
         # joining the node's body against its own sources' sorted root facts
         checked = []
 
-        def checked_instantiate(node, groundings, facts, stores, budget, prune):
+        def checked_instantiate(node, groundings, facts, stores, budget, redundant):
             groundings = list(groundings)
             assert groundings == node_groundings(node, facts, stores), node.id
             checked.append(node.id)
-            return instantiate_node(node, groundings, facts, stores, budget, prune)
+            return instantiate_node(node, groundings, facts, stores, budget, redundant)
 
         monkeypatch.setattr(reasoner, "instantiate_node", checked_instantiate)
         result = reason(normalize(parse_program(text)), mode)

@@ -90,6 +90,34 @@ class TestParser:
         prog = parse_program("query(p(a,Y)).")
         assert [str(q) for q in prog.queries] == ["p(a,Y)"]
 
+    # `query` names no predicate: (text, line, column of the offending token)
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("0.5::query(a).", 1, 6),
+            ("0.5::query(X) :- e(X).", 1, 6),
+            ("p :- query, e(a).", 1, 6),
+            ("query(X) :- e(X).", 1, 1),
+            ("e(a).\nquery(a) :- e(a).", 2, 1),
+            ("query.", 1, 1),
+            ("query :- e(a).", 1, 1),
+            ("e(a).\nquery(X) :- e(X), query(X).", 2, 1),
+            ("query(query(a)).", 1, 7),
+        ],
+    )
+    def test_query_is_reserved(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col, err.value.message) == (
+            line, col, "'query' is reserved for the query directive"
+        )
+
+    def test_query_directive_and_constant_still_parse(self):
+        prog = parse_program("e(query).\nquery(a).\nquery(e(query)).")
+        assert [str(q) for q in prog.queries] == ["a", "e(query)"]
+        with pytest.raises(ParseError, match="reserved"):
+            parse_atom("query(a)")
+
     def test_comments_and_blank_lines(self):
         prog = parse_program("% intro\n\n0.5::e(a,b). % trailing\n")
         assert len(prog.facts) == 1
