@@ -17,7 +17,7 @@ from probdatalog import (
     normalize,
     parse_program,
     probability,
-    round_bound_snapshot,
+    round_bounds,
     run_pr,
 )
 
@@ -39,7 +39,7 @@ if result.stop_reason != "fixpoint":
     sys.exit(f"reasoning stopped early: {result.stop_reason}")
 print(f"reasoning ran {result.stats.rounds_executed} rounds\n")
 
-snaps = [round_bound_snapshot(result, k) for k in range(1, result.rounds + 1)]
+snaps = round_bounds(result)[1:]
 final = snaps[-1]
 
 print(f"{'atom':8} " + " ".join(f"round {k}" for k in range(1, len(snaps) + 1)))

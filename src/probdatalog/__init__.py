@@ -30,7 +30,7 @@ from .lineage import (
     UnknownPredicateError,
     collect_lineage,
     phi,
-    round_bound_snapshot,
+    round_bounds,
 )
 from .model import (
     Atom,

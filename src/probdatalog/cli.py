@@ -34,7 +34,7 @@ from .lineage import (
     UnknownPredicateError,
     check_query,
     collect_lineage,
-    round_bound_snapshot,
+    round_bounds,
 )
 from .model import Atom, Program, match_atom, normalize
 from .parser import ParseError, parse_atom, parse_program
@@ -205,11 +205,7 @@ def _answers(
             # At depth 0 round 1 stored nothing, but its snapshot still holds
             # the facts, so every answer gets a bound, as from the reference
             # engine.  Only the answers' entries are read.
-            memo: dict = {}
-            history = [
-                round_bound_snapshot(result, k, memo, {a.fact for a in answers})
-                for k in range(1, max(result.rounds, 1) + 1)
-            ]
+            history = round_bounds(result, {a.fact for a in answers})[1:]
     lineage_ms = _ms(t0)
 
     t0 = time.perf_counter()

@@ -6,22 +6,22 @@ form) and an edge `u ->_j v` requires the head predicate of u's rule to
 equal the j-th body predicate of v's rule.  Nodes are only ever appended,
 and removal is a tombstone so references into a node's store stay valid.
 
-The graph grows join-driven: the reasoner hands `inductive_step` the root
-facts each stored node holds, and a depth-k node is created only for a
-parent tuple whose root facts ground the rule body at least once.  Those
-tuples come from a semi-naive hash join (`model.join`) over an index of
-the root facts that round k extends by the depth-(k-1) nodes' roots alone,
-so a node that could store nothing is never created, rather than created,
-instantiated and tombstoned.  The join is the round's only one: each new
-node comes with its groundings, the head fact and the root fact chosen at
-each body position, which instantiation turns into entries.
+The graph grows join-driven: a depth-k node is created only for a parent
+tuple whose stored root facts ground the rule body at least once.  Those
+tuples come from a semi-naive hash join (`model.join`) over the run's
+`RootIndex`, which round k extends by the depth-(k-1) nodes' roots alone.
+So no node without a grounding is created; one whose every candidate is
+redundant still is, and is tombstoned after instantiation.  The join is
+the round's only one: each new node comes with its groundings, the head
+fact and the root fact chosen at each body position, which instantiation
+turns into entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 from .model import Atom, EntryBudgetError, Rule, RuleKind, Symbol, join, substitute
 
@@ -41,8 +41,6 @@ class EgNode:
 @dataclass
 class ExecutionGraph:
     nodes: List[EgNode] = field(default_factory=list)
-    # the last round's root index, for the next to extend; runs drop it
-    growth: Optional[_RootIndex] = field(default=None, repr=False, compare=False)
 
     def node(self, node_id: int) -> EgNode:
         return self.nodes[node_id]
@@ -66,8 +64,6 @@ class ExecutionGraph:
         if node.removed:
             raise KeyError(f"node {node_id} already removed")
         node.removed = True
-        if self.growth is not None and node_id < self.growth.seen:
-            self.growth = None  # an indexed node left: rebuild next round
 
     def dump(self) -> str:
         """Debug adjacency list: node id, rule id, depth, parents."""
@@ -102,42 +98,38 @@ class _View(dict):
     the facts; `probes` keeps the hash indexes `join` built over it."""
 
 
-class _RootIndex:
-    """Root fact -> ids of the live nodes below depth k that hold it, per
-    head predicate and depth class.  Round k adds only its `_AT` nodes, and
-    its `_ANY` views are round k + 1's `_BELOW` views.  A view is merged
-    from its parts on first use, by sort keys computed once per fact, and
-    shared by every rule of the round; while unchanged it keeps its probes.
+class RootIndex:
+    """Root fact -> ids of the stored nodes holding it, per head predicate
+    and depth class, carried by a run.  Round k's `_AT` nodes are those
+    filed since round k - 1, and its `_ANY` views are round k + 1's `_BELOW`
+    views.  A view is merged from its parts on first use, by sort keys
+    computed once per fact, and shared by every rule of the round; while
+    unchanged it keeps its probes.
     """
 
     def __init__(self):
-        self.k: Optional[int] = None  # the round indexed last
-        self.seen = 0  # the graph nodes indexed so far
         self._keys: Dict[Atom, tuple] = {}
         self._parts: Dict[tuple[Symbol, int], List[Dict[Atom, List[int]]]] = {}
+        self._filed: Dict[Symbol, Dict[Atom, List[int]]] = {}  # the next _AT nodes
 
-    def advance(
-        self, g: ExecutionGraph, roots: Mapping[int, Iterable[Atom]], k: int
-    ) -> None:
-        """Index the nodes added to `g` since the last round, for round k."""
+    def add(self, node: EgNode, roots: Iterable[Atom]) -> None:
+        """File a stored node's root facts for the round after its own."""
+        pred = node.rule.head.predicate
+        for a in roots:
+            self._filed.setdefault(pred, {}).setdefault(a, []).append(node.id)
+            if a not in self._keys:
+                self._keys[a] = a.sort_key()
+
+    def advance(self) -> None:
+        """Start a round: the nodes filed since the last one are its `_AT` nodes."""
         old = self._parts
         self._parts = {
             (p, _BELOW): old.get((p, _ANY)) or old.get((p, _BELOW), []) + old.get((p, _AT), [])
             for p, _ in old
         }
-        new: Dict[tuple[Symbol, int], Dict[Atom, List[int]]] = {}
-        self.k, nodes, self.seen = k, g.nodes[self.seen:], len(g.nodes)
-        for n in nodes:
-            if n.depth >= k:
-                self.k = None  # skipped here, so the next round rebuilds
-            elif not n.removed and n.id in roots:
-                key = (n.rule.head.predicate, _AT if n.depth == k - 1 else _BELOW)
-                for a in roots[n.id]:
-                    new.setdefault(key, {}).setdefault(a, []).append(n.id)
-                    if a not in self._keys:
-                        self._keys[a] = a.sort_key()
-        for key, part in new.items():
-            self._parts.setdefault(key, []).append(part)
+        for p, part in self._filed.items():
+            self._parts[p, _AT] = [part]
+        self._filed = {}
 
     def view(self, pred: Symbol, depth_class: int) -> _View:
         if depth_class == _ANY and (pred, _ANY) not in self._parts:
@@ -156,7 +148,7 @@ class _RootIndex:
 
 
 def _joinable(
-    rule: Rule, index: _RootIndex
+    rule: Rule, index: RootIndex
 ) -> Iterator[tuple[tuple[int, ...], Grounding]]:
     """Each grounding of a depth-k node for `rule` (head predicates matching
     the body, every parent below depth k, some parent at k - 1), with the
@@ -189,36 +181,33 @@ def inductive_step(
     g: ExecutionGraph,
     rules: Iterable[Rule],
     k: int,
-    roots: Mapping[int, Iterable[Atom]],
+    index: RootIndex,
     budget: float = float("inf"),
 ) -> List[tuple[EgNode, List[Grounding]]]:
     """Extend the graph to depth k; returns the freshly added nodes, each
     with its groundings.
 
-    `roots` holds the root facts of each live node's store by node id.  A
-    fresh node is added per non-base rule and parent tuple whose parents'
-    root facts ground the rule body at least once, rule by rule and each
-    rule's tuples in lexicographic order, so no node is created only to be
-    tombstoned for storing nothing.  The tuples are found by one semi-naive
-    hash join per rule over an index of root facts to the nodes holding
-    them, kept on the graph: a call right after the one for round k - 1
-    adds only the nodes that call made, and any other call rebuilds it.
+    `index` holds the root facts of every stored node below depth k, the
+    depth-(k-1) ones filed since round k - 1.  A fresh node is added per
+    non-base rule and parent tuple whose parents' root facts ground the
+    rule body at least once, rule by rule and each rule's tuples in
+    lexicographic order; the tuples come from one semi-naive hash join per
+    rule over the index.  A node whose groundings all give redundant
+    candidates is still added, and the reasoner tombstones it.
 
     Each grounding allocates at least one entry when instantiated, so more
     groundings than `budget` raise `EntryBudgetError` before any node is
     added.  Existing nodes and edges are never altered, and tombstoned
     nodes are never re-created since they are excluded from enumeration.
     """
-    if g.growth is None or g.growth.k != k - 1:
-        g.growth = _RootIndex()
-    g.growth.advance(g, roots, k)
+    index.advance()
     found: List[tuple[Rule, tuple[int, ...], List[Grounding]]] = []
     count = 0
     for r in rules:
         if r.kind is not RuleKind.NONBASE:
             continue
         by_parents: Dict[tuple[int, ...], List[Grounding]] = {}
-        for parents, grounding in _joinable(r, g.growth):
+        for parents, grounding in _joinable(r, index):
             count += 1
             if count > budget:
                 raise EntryBudgetError(f"entry budget exceeded while growing depth {k}")

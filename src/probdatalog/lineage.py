@@ -180,23 +180,22 @@ def phi(
     Entries form a shared DAG, so results are memoized per entry; pass
     `memo` to share across calls.
     """
-    if memo is None:
-        memo = {}
+    return _phi(entry, max_clauses, {} if memo is None else memo)
 
-    def rec(node) -> Dnf:
-        if node._clause is not None:
-            return Dnf(frozenset((node._clause,)))
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if node.label is Label.AND:
-            out = _conjoin((rec(child) for child in node.children), max_clauses)
-        else:
-            out = _disjoin((rec(child).clauses for child in node.children), max_clauses)
-        memo[id(node)] = out
-        return out
 
-    return rec(entry)
+def _phi(node: Child, max_clauses: Optional[int], memo: Dict[int, Dnf]) -> Dnf:
+    # Module level: a closure that called itself would be a reference cycle.
+    if node._clause is not None:
+        return Dnf(frozenset((node._clause,)))
+    cached = memo.get(id(node))
+    if cached is not None:
+        return cached
+    if node.label is Label.AND:
+        out = _conjoin((_phi(c, max_clauses, memo) for c in node.children), max_clauses)
+    else:
+        out = _disjoin((_phi(c, max_clauses, memo).clauses for c in node.children), max_clauses)
+    memo[id(node)] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,16 +205,15 @@ class Answer:
     probability: Optional[float] = None
 
 
-def _entries_by_root(result: "ReasoningResult", k: int) -> Dict[Atom, List[Child]]:
+def _entries_by_root(result: "ReasoningResult") -> Dict[Atom, List[Child]]:
     """Stored entries of every atom held by the database, the depth-0
-    store, or by a node no deeper than k."""
+    store, or by a node."""
     index: Dict[Atom, List[Child]] = {
         fact: list(leaves) for fact, leaves in result.facts.by_root.items()
     }
-    for node_id, store in result.stores.items():
-        if result.graph.node(node_id).depth <= k:
-            for root, entries in store.by_root.items():
-                index.setdefault(root, []).extend(entries)
+    for store in result.stores.values():
+        for root, entries in store.by_root.items():
+            index.setdefault(root, []).extend(entries)
     return index
 
 
@@ -229,28 +227,38 @@ def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dn
     )
 
 
-def round_bound_snapshot(
-    result: "ReasoningResult",
-    k: int,
-    memo: Optional[Dict[int, Dnf]] = None,
-    atoms: Optional[Collection[Atom]] = None,
-) -> Dict[Atom, Dnf]:
-    """Lineage of every atom restricted to rounds <= k: the reference
-    engine's map after round k, database facts included; of `atoms` only,
-    if given.
-
-    A node of depth d is populated exactly in round d, so the snapshot is
-    the disjunction over the database and the stores of nodes no deeper
-    than k.  Probabilities of successive snapshots are nondecreasing and
-    reach the exact value at the final round.
+def round_bounds(
+    result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None
+) -> List[Dict[Atom, Dnf]]:
+    """Lineage of every atom, or of `atoms` only, restricted to rounds <= k,
+    for k from 0 to the final round (to 1 if that is 0), as in the
+    reference engine's map after round k, database facts included.  Round
+    k populates the depth-k nodes, so from one read of the stores, snapshot
+    k takes snapshot k - 1 and gathers again only the atoms stored at depth
+    k.  Probabilities of successive snapshots are nondecreasing and reach
+    the exact value at the final round.
     """
-    if memo is None:
-        memo = {}
-    return {
-        root: _gather(entries, DEFAULT_CLAUSE_CAP, memo)
-        for root, entries in _entries_by_root(result, k).items()
-        if atoms is None or root in atoms
+    found: Dict[Atom, Dict[int, List[Child]]] = {
+        fact: {0: leaves} for fact, leaves in result.facts.by_root.items()
+        if atoms is None or fact in atoms
     }
+    for node_id, store in result.stores.items():
+        depth = result.graph.node(node_id).depth
+        for root, entries in store.by_root.items():
+            if atoms is None or root in atoms:
+                found.setdefault(root, {}).setdefault(depth, []).extend(entries)
+    fresh: Dict[int, List[Atom]] = {}  # depth -> the atoms stored there
+    for root, by_depth in found.items():
+        for d in by_depth:
+            fresh.setdefault(d, []).append(root)
+    memo: Dict[int, Dnf] = {}
+    snaps: List[Dict[Atom, Dnf]] = [{}]
+    for k in range(max(result.rounds, 1) + 1):
+        snaps.append(dict(snaps[-1]))
+        for root in fresh.get(k, ()):
+            entries = [e for d, es in found[root].items() if d <= k for e in es]
+            snaps[-1][root] = _gather(entries, DEFAULT_CLAUSE_CAP, memo)
+    return snaps[1:]
 
 
 def check_query(prog: Program, query: Atom) -> None:
@@ -278,7 +286,7 @@ def collect_lineage(
             "reasoning was truncated by a resource limit; lineage would be partial"
         )
     check_query(prog, query)
-    index = _entries_by_root(result, result.rounds)
+    index = _entries_by_root(result)
     memo: Dict[int, Dnf] = {}
     return [
         Answer(inst, _gather(index[inst], max_clauses, memo))

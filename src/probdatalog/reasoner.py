@@ -22,7 +22,7 @@ from .derivations import (
     is_hereditarily_redundant,
     should_collapse,
 )
-from .graph import ExecutionGraph, base_step, groundings, inductive_step
+from .graph import ExecutionGraph, RootIndex, base_step, groundings, inductive_step
 from .model import EntryBudgetError, Program
 
 
@@ -110,7 +110,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
     rules = sorted(prog.rules, key=lambda r: r.id)
     g = base_step(rules)
     stores: Dict[int, NodeStore] = {}
-    roots: Dict[int, Dict] = {}  # each store's root facts, for graph growth
+    index = RootIndex()  # every stored node's root facts, for graph growth
     stats = ReasonerStats()
     stop_reason = "fixpoint"
     allocated_total = 0
@@ -129,7 +129,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                     for v in g.nodes
                 ]
             else:
-                grown = inductive_step(g, rules, k, roots, cap - allocated_total)
+                grown = inductive_step(g, rules, k, index, cap - allocated_total)
             for v, found in grown:
                 inst = instantiate_node(
                     v, found, facts, stores, cap - allocated_total,
@@ -160,7 +160,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 if allocated_total > cap:
                     raise EntryBudgetError("entry budget exceeded")
                 stores[v.id] = store
-                roots[v.id] = store.by_root
+                index.add(v, store.by_root)
         except EntryBudgetError:
             stop_reason = "max_entries"
 
@@ -172,7 +172,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
             stop_reason = "max_depth"
             break
 
-    g.growth = None  # growth state lives only as long as the run
     return ReasoningResult(
         graph=g,
         facts=facts,

@@ -1,6 +1,7 @@
 import pytest
 
 from probdatalog import ReasonerOptions, normalize, parse_program, reasoner
+from probdatalog.graph import RootIndex
 
 RUNNING_EXAMPLE = """\
 0.5::e(a,b).
@@ -25,6 +26,15 @@ def collapse_example(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def path_program(n):
+    """Reachability along a path of n edges: n + 1 rounds, one node each."""
+    return normalize(parse_program(
+        "r(n0).\n"
+        + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
+        + "r(X) :- r(Y), e(Y,X).\n"
+    ))
+
+
 # Bounds for the tests' corpus-driven and collapsed reasoning runs: over 10x
 # the most any of them needs, 1,573 entries (corpus seed 17, collapse on)
 # and 8 rounds (chain 8).  A run that fails to terminate may add one node a
@@ -43,6 +53,34 @@ def reason(prog, mode="off"):
     stop_reason = result.stop_reason
     assert stop_reason == "fixpoint"
     return result
+
+
+class FilingIndex(RootIndex):
+    """A root index that also keeps the root facts filed for each node id."""
+
+    def __init__(self):
+        super().__init__()
+        self.roots = {}
+
+    def add(self, node, roots):
+        self.roots[node.id] = roots
+        super().add(node, roots)
+
+
+def root_index(g, roots, k):
+    """A root index fed afresh for round k: `roots` maps node ids to root
+    facts, and the live nodes of `g` below depth k - 1 are filed a round
+    before those at depth k - 1."""
+    index = RootIndex()
+    stored = [n for n in g.live_nodes() if n.id in roots and n.depth < k]
+    for n in stored:
+        if n.depth < k - 1:
+            index.add(n, roots[n.id])
+    index.advance()
+    for n in stored:
+        if n.depth == k - 1:
+            index.add(n, roots[n.id])
+    return index
 
 
 @pytest.fixture

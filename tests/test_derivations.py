@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import RUNNING_EXAMPLE, collapse_example, reason
+from conftest import RUNNING_EXAMPLE, collapse_example, reason, root_index
 from corpus import corpus, random_tiny_program_text
 from oracles import has_or, node_groundings, root_only_redundant, unfold
 from probdatalog import (
@@ -29,7 +29,7 @@ from probdatalog.derivations import (
     NodeStore,
     _atom_cone,
 )
-from probdatalog.graph import groundings
+from probdatalog.graph import RootIndex, groundings
 from probdatalog.model import atom
 
 
@@ -38,11 +38,12 @@ def run_rounds(prog, depth, filter_redundant=True):
     g = base_step(prog.rules)
     facts = FactIndex(prog.facts)
     stores = {}
+    index = RootIndex()
     for k in range(1, depth + 1):
         if k == 1:
             grown = [(v, base_groundings(v, facts)) for v in g.live_nodes()]
         else:
-            grown = inductive_step(g, prog.rules, k, root_map(stores))
+            grown = inductive_step(g, prog.rules, k, index)
         redundant = is_hereditarily_redundant if filter_redundant else None
         for v, found in grown:
             store = NodeStore(v.id)
@@ -53,6 +54,7 @@ def run_rounds(prog, depth, filter_redundant=True):
                     store.add(e)
             if not store.entries:
                 g.remove_node(v.id)
+            index.add(v, store.by_root)
     return g, stores
 
 
@@ -68,8 +70,9 @@ def tree_signature(x):
     return (str(x.root), x.label.value, tuple(tree_signature(c) for c in x.children))
 
 
-def root_map(stores):
-    return {v: store.by_root for v, store in stores.items()}
+def root_map(g, stores, k):
+    """The root index round k finds over `stores`, fed afresh."""
+    return root_index(g, {v: store.by_root for v, store in stores.items()}, k)
 
 
 def repeats_on_a_path(x, above=frozenset()) -> bool:
@@ -108,7 +111,7 @@ class TestInstantiateNode:
 
     def test_depth_two_node_composes_parent_roots(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
-        ((v2, found),) = inductive_step(g, running_prog.rules, 2, root_map(stores))
+        ((v2, found),) = inductive_step(g, running_prog.rules, 2, root_map(g, stores, 2))
         result = instantiate_node(v2, found, FactIndex(running_prog.facts), stores)
         # joins: (a,b)+(b,c), (a,c)+(c,b), (b,c)+(c,b), (c,b)+(b,c)
         assert {str(r) for r in result.by_root} == {
@@ -125,7 +128,7 @@ class TestInstantiateNode:
     def test_empty_parent_store_yields_nothing(self, running_prog):
         g, stores = run_rounds(running_prog, 1)
         stores[0] = NodeStore(0)  # pretend the parent stored nothing
-        assert inductive_step(g, running_prog.rules, 2, root_map(stores)) == []
+        assert inductive_step(g, running_prog.rules, 2, root_map(g, stores, 2)) == []
         assert len(g.nodes) == 1  # no node to instantiate
 
     def test_cartesian_product_over_parent_entries(self):
@@ -149,7 +152,7 @@ class TestRedundancy:
         g, stores = run_rounds(running_prog, 2)
         facts = FactIndex(running_prog.facts)
         candidates = []
-        for v, found in inductive_step(g, running_prog.rules, 3, root_map(stores)):
+        for v, found in inductive_step(g, running_prog.rules, 3, root_map(g, stores, 3)):
             result = instantiate_node(v, found, facts, stores)
             candidates += [e for es in result.by_root.values() for e in es]
         assert candidates

@@ -1,9 +1,10 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from conftest import reason
+from conftest import FilingIndex, path_program, reason, root_index
 from corpus import corpus
 from oracles import grow_unpruned, k_compatible, node_groundings
 from probdatalog import (
@@ -19,20 +20,19 @@ from probdatalog import (
     run_pr,
 )
 from probdatalog.derivations import FactIndex, NodeStore
-from probdatalog.graph import EgNode, ExecutionGraph
+from probdatalog.graph import EgNode, ExecutionGraph, RootIndex
 from probdatalog.model import Atom, RuleKind
 
 
-def running_roots(prog):
-    """Root facts per node of a plain run, as the reasoner passes them."""
-    return {v: store.by_root for v, store in run_pr(prog).stores.items()}
+def running_index(g, prog, k):
+    """The root index round k of a plain run finds, fed afresh."""
+    return root_index(g, {v: s.by_root for v, s in run_pr(prog).stores.items()}, k)
 
 
 def build_running_graph(prog, depth):
     g = base_step(prog.rules)
-    roots = running_roots(prog)
     for k in range(2, depth + 1):
-        inductive_step(g, prog.rules, k, roots)
+        inductive_step(g, prog.rules, k, running_index(g, prog, k))
     return g
 
 
@@ -85,12 +85,12 @@ class TestKCompatible:
 class TestInductiveStep:
     def test_round_two_adds_one_node(self, running_prog):
         g = base_step(running_prog.rules)
-        added = inductive_step(g, running_prog.rules, 2, running_roots(running_prog))
+        added = inductive_step(g, running_prog.rules, 2, running_index(g, running_prog, 2))
         assert [(n.id, n.parents, n.depth) for n, _ in added] == [(1, (0, 0), 2)]
 
     def test_round_three_adds_three_nodes(self, running_prog):
         g = build_running_graph(running_prog, 2)
-        added = inductive_step(g, running_prog.rules, 3, running_roots(running_prog))
+        added = inductive_step(g, running_prog.rules, 3, running_index(g, running_prog, 3))
         assert [(n.id, n.parents) for n, _ in added] == [
             (2, (0, 1)),
             (3, (1, 0)),
@@ -102,7 +102,7 @@ class TestInductiveStep:
         g = base_step(running_prog.rules)
         before = len(g.nodes)
         # depth 3 needs a depth-2 parent, none exists yet
-        assert inductive_step(g, running_prog.rules, 3, running_roots(running_prog)) == []
+        assert inductive_step(g, running_prog.rules, 3, running_index(g, running_prog, 3)) == []
         assert len(g.nodes) == before
         assert g.depth() == 1
 
@@ -199,9 +199,9 @@ class TestJoinDrivenGrowth:
         # checks below, whose cost per round grows with the nodes squared.
         reason(prog, mode)
 
-        def checked_step(g, rules, k, roots, budget):
+        def checked_step(g, rules, k, index, budget):
             rules = list(rules)
-            stores = {i: NodeStore(i, by_root=r) for i, r in roots.items()}
+            stores = {i: NodeStore(i, by_root=r) for i, r in index.roots.items()}
             expected = [
                 (r.id, parents)
                 for r in rules
@@ -209,17 +209,18 @@ class TestJoinDrivenGrowth:
                 for parents in k_compatible(g, r, k)
                 if node_groundings(EgNode(-1, r, k, parents), facts, stores)
             ]
-            added = inductive_step(g, rules, k, roots, budget)
+            added = inductive_step(g, rules, k, index, budget)
             assert [(n.rule.id, n.parents) for n, _ in added] == expected, k
             return added
 
-        def unpruned_step(g, rules, k, roots, budget):
-            stores = {i: NodeStore(i, by_root=r) for i, r in roots.items()}
+        def unpruned_step(g, rules, k, index, budget):
+            stores = {i: NodeStore(i, by_root=r) for i, r in index.roots.items()}
             return [
                 (v, node_groundings(v, facts, stores))
                 for v in grow_unpruned(g, rules, k)
             ]
 
+        monkeypatch.setattr(reasoner, "RootIndex", FilingIndex)
         monkeypatch.setattr(reasoner, "inductive_step", checked_step)
         pruned = reason(prog, mode)
         monkeypatch.setattr(reasoner, "inductive_step", unpruned_step)
@@ -255,52 +256,45 @@ class TestJoinDrivenGrowth:
         assert all(not n.removed for n in result.graph.nodes)
 
 
-def path_program(n):
-    return normalize(parse_program(
-        "r(n0).\n"
-        + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(n))
-        + "r(X) :- r(Y), e(Y,X).\n"
-    ))
-
-
 class TestCarriedRootIndex:
-    """Growth carries its root index from round to round on the graph; any
-    call gives the nodes and groundings of a freshly built index."""
+    """A run carries its root index from round to round; at every round it
+    gives the nodes and groundings of an index fed afresh."""
 
-    @staticmethod
-    def step_like_fresh(g, rules, k, roots):
-        fresh = ExecutionGraph([replace(n) for n in g.nodes])
-        expected = inductive_step(fresh, rules, k, roots)
-        added = inductive_step(g, rules, k, roots)
-        assert [(n.id, n.rule.id, n.parents, gs) for n, gs in added] == [
-            (n.id, n.rule.id, n.parents, gs) for n, gs in expected
-        ], k
-        return added
-
+    @pytest.mark.parametrize("mode", list(CollapseMode))
     @pytest.mark.parametrize(
-        "ks",
-        [(2, 3, 4, 5, 6), (2, 2, 3, 4), (2, 3, 3, 4), (2, 4, 5), (3, 2, 3, 4), (4, 5)],
-        ids=str,
+        "text", [chain_program(5, 0), powerlaw_program(12, 1)], ids=["chain5", "powerlaw12"]
     )
-    @pytest.mark.parametrize("text", [chain_program(5, 0), powerlaw_program(12, 1)])
-    def test_any_call_sequence_matches_a_fresh_index(self, text, ks):
-        prog = normalize(parse_program(text))
-        roots = running_roots(prog)
-        g = base_step(prog.rules)
-        for k in ks:
-            self.step_like_fresh(g, prog.rules, k, roots)
+    def test_each_round_matches_a_fresh_index(self, monkeypatch, text, mode):
+        steps = []
 
-    def test_removing_an_indexed_node_rebuilds(self, running_prog):
-        roots = running_roots(running_prog)
-        g = base_step(running_prog.rules)
-        for k in (2, 3):
-            self.step_like_fresh(g, running_prog.rules, k, roots)
-        g.remove_node(1)
-        assert g.growth is None
-        assert self.step_like_fresh(g, running_prog.rules, 4, roots) == []
+        def step_like_fresh(g, rules, k, index, budget):
+            rules = list(rules)
+            fresh = ExecutionGraph([replace(n) for n in g.nodes])
+            expected = inductive_step(fresh, rules, k, root_index(g, index.roots, k), budget)
+            added = inductive_step(g, rules, k, index, budget)
+            assert [(n.id, n.rule.id, n.parents, gs) for n, gs in added] == [
+                (n.id, n.rule.id, n.parents, gs) for n, gs in expected
+            ], k
+            steps.append(k)
+            return added
 
-    def test_a_run_releases_the_index(self, running_prog):
-        assert run_pr(running_prog).graph.growth is None
+        monkeypatch.setattr(reasoner, "RootIndex", FilingIndex)
+        monkeypatch.setattr(reasoner, "inductive_step", step_like_fresh)
+        result = reason(normalize(parse_program(text)), mode)
+        assert steps == list(range(2, result.stats.rounds_executed + 1))
+
+    def test_no_index_outlives_the_run(self, monkeypatch, running_prog):
+        made = []
+
+        class Watched(RootIndex):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(reasoner, "RootIndex", Watched)
+        result = run_pr(running_prog)
+        assert result.stats.rounds_executed == 3
+        assert len(made) == 1 and made[0]() is None
 
     def test_each_sort_key_is_computed_a_bounded_number_of_times(self, monkeypatch):
         # A work count, not a time: re-sorting every view each round would

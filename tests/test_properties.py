@@ -8,7 +8,7 @@ from probdatalog import (
     normalize,
     parse_program,
     probability,
-    round_bound_snapshot,
+    round_bounds,
     run_pr,
     tcp_fixpoint,
 )
@@ -45,8 +45,8 @@ def test_engines_agree_on_denser_corpus():
         plain = reason(prog)
         collapsed = reason(prog, CollapseMode.ON)
         reference = tcp_fixpoint(prog).formulas
-        snap = round_bound_snapshot(plain, plain.rounds)
-        snap_c = round_bound_snapshot(collapsed, collapsed.rounds)
+        snap = round_bounds(plain)[plain.rounds]
+        snap_c = round_bounds(collapsed)[collapsed.rounds]
         assert set(snap) == set(reference) == set(snap_c), seed
         for a in snap:
             values = [

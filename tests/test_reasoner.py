@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from conftest import collapse_example, reason
+from conftest import collapse_example, path_program, reason
 from corpus import random_program_text
 from probdatalog import (
     CollapseMode,
@@ -13,7 +15,7 @@ from probdatalog import (
     parse_program,
     probability,
     reasoner,
-    round_bound_snapshot,
+    round_bounds,
     run_pcor,
     run_pr,
 )
@@ -32,7 +34,7 @@ def lineage_json(result, prog, query):
 
 class TestRunPr:
     def test_running_example_terminates_in_three_rounds(self, running_prog):
-        result = run_pr(running_prog)
+        result = reason(running_prog)
         assert result.stats.rounds_executed == 3
         assert result.rounds == 2
         assert not result.truncated
@@ -48,14 +50,14 @@ class TestRunPr:
 
     def test_facts_only_program(self):
         prog = normalize(parse_program("0.5::e(a,b).\n0.7::e(b,c)."))
-        result = run_pr(prog)
+        result = reason(prog)
         assert result.rounds == 0
         assert list(result.graph.live_nodes()) == []
         assert not result.truncated
 
     def test_collapse_example_small(self):
         prog = normalize(parse_program(collapse_example(3)))
-        result = run_pr(prog)
+        result = reason(prog)
         assert not result.truncated
         t_atom, r_atom = parse_atom("t(a)"), parse_atom("r(a,b1)")
         t_counts = [len(s.by_root.get(t_atom, ())) for s in result.stores.values()]
@@ -107,7 +109,7 @@ class TestRunPcor:
             ReasonerOptions(**kwargs)
 
     def test_auto_below_threshold_behaves_like_plain(self, running_prog):
-        plain = run_pr(running_prog)
+        plain = reason(running_prog)
         auto = reason(running_prog, "auto")
         assert plain.live_store_sizes() == auto.live_store_sizes()
         assert auto.stats.total("or_entries") == 0
@@ -119,14 +121,14 @@ class TestRunPcor:
             lines += [f"0.5::e({u},{v}).", f"0.5::e({v},{u})."]
         lines += ["p(X,Y) :- e(X,Y).", "p(X,Y) :- p(X,Z), p(Z,Y)."]
         prog = normalize(parse_program("\n".join(lines)))
-        plain = run_pr(prog)
+        plain = reason(prog)
         collapsed = reason(prog, "on")
         assert not plain.truncated and not collapsed.truncated
         assert plain.stats.rounds_executed == collapsed.stats.rounds_executed
 
     def test_collapsed_lineage_matches_plain(self):
         prog = normalize(parse_program(collapse_example(6)))
-        plain = run_pr(prog)
+        plain = reason(prog)
         collapsed = reason(prog, "on")
         for query in ("r(X,Y)", "t(X)"):
             assert lineage_json(plain, prog, query) == lineage_json(
@@ -209,27 +211,27 @@ class TestResourceGuards:
 
     def test_snapshots_survive_truncation(self, running_prog):
         result = run_pr(running_prog, ReasonerOptions(max_depth=1))
-        snap = round_bound_snapshot(result, 1)
+        snap = round_bounds(result)[1]
         assert snap[parse_atom("p(a,b)")] == Dnf.single(0)
 
 
 class TestSnapshots:
     def test_round_one_lineage(self, running_prog):
-        result = run_pr(running_prog)
-        snap = round_bound_snapshot(result, 1)
+        result = reason(running_prog)
+        snap = round_bounds(result)[1]
         assert snap[parse_atom("p(a,b)")].to_json(running_prog.var_names) == [["e(a,b)"]]
 
     def test_round_two_lineage(self, running_prog):
-        result = run_pr(running_prog)
-        snap = round_bound_snapshot(result, 2)
+        result = reason(running_prog)
+        snap = round_bounds(result)[2]
         assert snap[parse_atom("p(a,b)")].to_json(running_prog.var_names) == [
             ["e(a,b)"],
             ["e(a,c)", "e(c,b)"],
         ]
 
     def test_final_snapshot_equals_collected_lineage(self, running_prog):
-        result = run_pr(running_prog)
-        snap = round_bound_snapshot(result, result.rounds)
+        result = reason(running_prog)
+        snap = round_bounds(result)[result.rounds]
         for ans in collect_lineage(result, running_prog, parse_atom("p(X,Y)")):
             assert snap[ans.fact] == ans.lineage
 
@@ -241,21 +243,42 @@ class TestSnapshots:
             result = reason(prog, mode)
             wanted = {a.fact for a in collect_lineage(result, prog, parse_atom("p(a,X)"))}
             wanted.add(parse_atom("p(z,z)"))  # in no store
-            memo: dict = {}
-            for k in range(1, result.rounds + 1):
-                full = round_bound_snapshot(result, k)
-                assert round_bound_snapshot(result, k, memo, wanted) == {
-                    a: d for a, d in full.items() if a in wanted
-                }
+            assert round_bounds(result, wanted) == [
+                {a: d for a, d in full.items() if a in wanted} for full in round_bounds(result)
+            ]
+
+    def test_bounds_read_each_store_once(self):
+        # A work count, not a time: a snapshot per round that scanned the
+        # stores would read each of them 302 times here.
+        prog = path_program(300)
+        result = run_pr(prog, ReasonerOptions(max_depth=400))
+        assert result.stop_reason == "fixpoint" and result.rounds == 301
+        reads = Counter()
+
+        def counted(name):
+            def method(self, *args):
+                reads[id(self)] += 1
+                return getattr(dict, name)(self, *args)
+            return method
+
+        read = type("Read", (dict,), {
+            name: counted(name)
+            for name in ("__iter__", "__getitem__", "get", "items", "keys", "values")
+        })
+        for store in [result.facts, *result.stores.values()]:
+            store.by_root = read(store.by_root)
+        answers = {a.fact for a in collect_lineage(result, prog, parse_atom("r(X)"))}
+        reads.clear()
+        bounds = round_bounds(result, answers)
+        assert len(bounds) == 302 and len(bounds[-1]) == 301
+        assert len(reads) == len(result.stores) + 1
+        assert set(reads.values()) == {1}
 
     def test_snapshot_probabilities_are_monotone(self):
         for seed in range(6):
             prog = normalize(parse_program(random_program_text(seed)))
             result = reason(prog)
-            snaps = [
-                round_bound_snapshot(result, k)
-                for k in range(1, result.rounds + 1)
-            ]
+            snaps = round_bounds(result)[1:]
             atoms = set().union(*(set(s) for s in snaps)) if snaps else set()
             for a in atoms:
                 probs = [
@@ -267,7 +290,7 @@ class TestSnapshots:
 
 
 def test_deterministic_stats_and_lineage(running_prog):
-    r1, r2 = run_pr(running_prog), run_pr(running_prog)
+    r1, r2 = reason(running_prog), reason(running_prog)
     assert [vars(a).copy() for a in r1.stats.per_round] == [
         vars(a).copy() for a in r2.stats.per_round
     ]
