@@ -4,7 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import FilingIndex, path_program, reason, root_index
+from conftest import (
+    RUNNING_EXAMPLE,
+    FilingIndex,
+    collapse_example,
+    path_program,
+    reason,
+    root_index,
+)
 from corpus import corpus
 from oracles import grow_unpruned, k_compatible, node_groundings
 from probdatalog import (
@@ -262,7 +269,9 @@ class TestCarriedRootIndex:
 
     @pytest.mark.parametrize("mode", list(CollapseMode))
     @pytest.mark.parametrize(
-        "text", [chain_program(5, 0), powerlaw_program(12, 1)], ids=["chain5", "powerlaw12"]
+        "text",
+        [RUNNING_EXAMPLE, collapse_example(3), chain_program(5, 0), powerlaw_program(12, 1)],
+        ids=["running", "collapse3", "chain5", "powerlaw12"],
     )
     def test_each_round_matches_a_fresh_index(self, monkeypatch, text, mode):
         steps = []
