@@ -18,7 +18,7 @@ from .derivations import (
     is_hereditarily_redundant,
     should_collapse,
 )
-from .graph import EgNode, ExecutionGraph, base_step, inductive_step
+from .graph import EgNode, ExecutionGraph, inductive_step
 from .lineage import (
     FALSE,
     TRUE,

@@ -17,6 +17,7 @@ Exit codes: 0 ok, 1 parse/input error, 2 resource limit, 3 wmc budget,
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import functools
 import json
@@ -216,9 +217,22 @@ def _answers(
             solved[dnf] = _compute_probability(dnf, prog.weights, args.solver)
         return solved[dnf]
 
-    bounds = {
-        a.fact: [prob(snap.get(a.fact, FALSE)) for snap in history] for a in answers if want_bounds
-    }
+    def per_round(fact: Atom) -> List[float]:
+        # A snapshot carries an unchanged lineage as the same object and a
+        # changed one as a new object, and no round brings an old one back,
+        # so an answer's bounds are runs of one lineage each: bisection finds
+        # where each run ends, and each is solved once.
+        out: List[float] = []
+        while len(out) < len(history):
+            lineage = history[len(out)].get(fact, FALSE)
+            end = bisect.bisect(
+                range(len(history)), False, len(out),
+                key=lambda k: history[k].get(fact, FALSE) is not lineage,
+            )
+            out += [prob(lineage)] * (end - len(out))
+        return out
+
+    bounds = {a.fact: per_round(a.fact) for a in answers if want_bounds}
     answers = [Answer(a.fact, a.lineage, prob(a.lineage)) for a in answers]
     stats["time_ms"] = {"reason": reason_ms, "lineage": lineage_ms, "prob": _ms(t0)}
     return answers, bounds, stats

@@ -92,17 +92,10 @@ class NodeStore:
 
 class FactIndex:
     """The database as the depth-0 store: `by_root` maps each fact to its
-    one leaf, as a node store maps a root fact to its entries, and
-    `by_pred` lists the facts of each predicate in lexicographic order."""
+    one leaf, as a node store maps a root fact to its entries."""
 
     def __init__(self, facts: Iterable[ProbFact]):
-        self.by_root: Dict[Atom, List[Leaf]] = {}
-        self.by_pred: Dict[object, List[Atom]] = {}
-        for f in facts:
-            self.by_root[f.fact] = [Leaf(f.var)]
-            self.by_pred.setdefault(f.fact.predicate, []).append(f.fact)
-        for atoms in self.by_pred.values():
-            atoms.sort(key=Atom.sort_key)
+        self.by_root: Dict[Atom, List[Leaf]] = {f.fact: [Leaf(f.var)] for f in facts}
 
 
 @dataclass

@@ -6,11 +6,12 @@ form) and an edge `u ->_j v` requires the head predicate of u's rule to
 equal the j-th body predicate of v's rule.  Nodes are only ever appended,
 and removal is a tombstone so references into a node's store stay valid.
 
-The graph grows join-driven: a depth-k node is created only for a parent
-tuple whose stored root facts ground the rule body at least once.  Those
-tuples come from a semi-naive hash join (`model.join`) over the run's
-`RootIndex`, which round k extends by the depth-(k-1) nodes' roots alone.
-So no node without a grounding is created; one whose every candidate is
+The graph grows join-driven, round 1 included: a depth-k node is created
+only for a parent tuple whose stored root facts ground the rule body at
+least once.  Those tuples come from a semi-naive hash join (`model.join`)
+over the run's `RootIndex`, which holds the database as the depth-0 store
+and which round k extends by the depth-(k-1) nodes' roots alone.  So no
+node without a grounding is created; one whose every candidate is
 redundant still is, and is tombstoned after instantiation.  The join is
 the round's only one: each new node comes with its groundings, the head
 fact and the root fact chosen at each body position, which instantiation
@@ -21,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from operator import getitem
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .model import Atom, EntryBudgetError, Rule, RuleKind, Symbol, join, substitute
+from .model import Atom, EntryBudgetError, Rule, Symbol, join, substitute
 
 # The head fact and the root fact chosen at each body position.
 Grounding = tuple[Atom, tuple[Atom, ...]]
@@ -74,15 +76,6 @@ class ExecutionGraph:
         return "\n".join(lines)
 
 
-def base_step(rules: Sequence[Rule]) -> ExecutionGraph:
-    """Depth-1 graph with one node per base rule and no edges."""
-    g = ExecutionGraph()
-    for r in rules:
-        if r.kind is RuleKind.BASE:
-            g.add_node(r, ())
-    return g
-
-
 def groundings(rule: Rule, candidates: Sequence[Iterable[Atom]]) -> Iterator[Grounding]:
     """The groundings of `rule`'s body against per-position candidate facts,
     in the join's order."""
@@ -98,25 +91,29 @@ class _View(dict):
     the facts; `probes` keeps the hash indexes `join` built over it."""
 
 
+_EMPTY = _View()  # every empty view, kept in no part list, so none grows by it
+
+
 class RootIndex:
-    """Root fact -> ids of the stored nodes holding it, per head predicate
-    and depth class, carried by a run.  Round k's `_AT` nodes are those
-    filed since round k - 1, and its `_ANY` views are round k + 1's `_BELOW`
-    views.  A view is merged from its parts on first use, by sort keys
-    computed once per fact, and shared by every rule of the round; while
-    unchanged it keeps its probes.
+    """Root fact -> ids of the stored nodes holding it, None for the
+    database, per predicate and depth class, carried by a run.  Round k's
+    `_AT` nodes are those filed since round k - 1, the database's for round
+    1, and its `_ANY` views are round k + 1's `_BELOW` views.  A view is
+    merged from its parts on first use, by sort keys computed once per
+    fact, and shared by every rule of the round; while unchanged it keeps
+    its probes.
     """
 
     def __init__(self):
         self._keys: Dict[Atom, tuple] = {}
-        self._parts: Dict[tuple[Symbol, int], List[Dict[Atom, List[int]]]] = {}
-        self._filed: Dict[Symbol, Dict[Atom, List[int]]] = {}  # the next _AT nodes
+        self._parts: Dict[tuple[Symbol, int], List[Dict[Atom, list]]] = {}
+        self._filed: Dict[Symbol, Dict[Atom, list]] = {}  # the next _AT nodes
 
-    def add(self, node: EgNode, roots: Iterable[Atom]) -> None:
-        """File a stored node's root facts for the round after its own."""
-        pred = node.rule.head.predicate
+    def add(self, node_id: Optional[int], roots: Iterable[Atom]) -> None:
+        """File a stored node's root facts, or with None the database's, for
+        the round after its own."""
         for a in roots:
-            self._filed.setdefault(pred, {}).setdefault(a, []).append(node.id)
+            self._filed.setdefault(a.predicate, {}).setdefault(a, []).append(node_id)
             if a not in self._keys:
                 self._keys[a] = a.sort_key()
 
@@ -135,8 +132,10 @@ class RootIndex:
         if depth_class == _ANY and (pred, _ANY) not in self._parts:
             self._parts[pred, _ANY] = [self.view(pred, _BELOW), self.view(pred, _AT)]
         parts = [part for part in self._parts.get((pred, depth_class), ()) if part]
+        if not parts:
+            return _EMPTY
         if len(parts) != 1 or not isinstance(parts[0], _View):
-            merged = dict(parts[0]) if parts else {}
+            merged = dict(parts[0])
             for part in parts[1:]:
                 for a, ids in part.items():
                     merged[a] = merged[a] + ids if a in merged else ids
@@ -152,7 +151,8 @@ def _joinable(
 ) -> Iterator[tuple[tuple[int, ...], Grounding]]:
     """Each grounding of a depth-k node for `rule` (head predicates matching
     the body, every parent below depth k, some parent at k - 1), with the
-    parent tuple whose root facts it chose.
+    parent tuple whose root facts it chose; the database, at depth 0, is
+    parent None.
 
     Semi-naive split: with position j drawn from depth k - 1, earlier
     positions from below k - 1 and later ones from below k, every tuple
@@ -171,9 +171,7 @@ def _joinable(
         if not all(split):
             continue
         for grounding in groundings(rule, split):
-            for parents in itertools.product(*(
-                s[a] for s, a in zip(split, grounding[1])
-            )):
+            for parents in itertools.product(*map(getitem, split, grounding[1])):
                 yield parents, grounding
 
 
@@ -187,13 +185,16 @@ def inductive_step(
     """Extend the graph to depth k; returns the freshly added nodes, each
     with its groundings.
 
-    `index` holds the root facts of every stored node below depth k, the
-    depth-(k-1) ones filed since round k - 1.  A fresh node is added per
-    non-base rule and parent tuple whose parents' root facts ground the
-    rule body at least once, rule by rule and each rule's tuples in
+    `index` holds the database and the root facts of every stored node
+    below depth k, the depth-(k-1) ones filed since round k - 1.  A fresh
+    node is added per rule and parent tuple whose parents' root facts ground
+    the rule body at least once, rule by rule and each rule's tuples in
     lexicographic order; the tuples come from one semi-naive hash join per
-    rule over the index.  A node whose groundings all give redundant
-    candidates is still added, and the reasoner tombstones it.
+    rule over the index.  Normalized bodies draw on the database alone or
+    on derived predicates alone, so round 1 adds base-rule nodes only, with
+    no parents, and later rounds add non-base ones only.  A node whose
+    groundings all give redundant candidates is still added, and the
+    reasoner tombstones it.
 
     Each grounding allocates at least one entry when instantiated, so more
     groundings than `budget` raise `EntryBudgetError` before any node is
@@ -204,8 +205,6 @@ def inductive_step(
     found: List[tuple[Rule, tuple[int, ...], List[Grounding]]] = []
     count = 0
     for r in rules:
-        if r.kind is not RuleKind.NONBASE:
-            continue
         by_parents: Dict[tuple[int, ...], List[Grounding]] = {}
         for parents, grounding in _joinable(r, index):
             count += 1
@@ -213,6 +212,7 @@ def inductive_step(
                 raise EntryBudgetError(f"entry budget exceeded while growing depth {k}")
             by_parents.setdefault(parents, []).append(grounding)
         found += [(r, p, gs) for p, gs in sorted(by_parents.items())]
-    added = [(g.add_node(r, parents), gs) for r, parents, gs in found]
+    # the database is no node: a base rule's parents are all None
+    added = [(g.add_node(r, () if None in p else p), gs) for r, p, gs in found]
     assert all(node.depth == k for node, _ in added)
     return added

@@ -358,78 +358,45 @@ def normalize(prog: Program) -> Program:
     taken = {p.text for p in prog.predicates} | {q.predicate.text for q in prog.queries}
     rules = list(prog.rules)
     facts = list(prog.facts)
-    next_rule_id = max((r.id for r in rules), default=-1) + 1
+    rule_ids = itertools.count(max((r.id for r in rules), default=-1) + 1)
+
+    def bridge(pred: Symbol, suffix: str, arity: int, new_is_head: bool) -> Rule:
+        """The base rule copying `pred` into a fresh predicate named after
+        it, or back when `new_is_head` is false."""
+        name = fresh_predicate_name(f"{pred.text}{suffix}", taken)
+        taken.add(name)
+        args = tuple(variable(f"X{i}") for i in range(arity))
+        new, old = Atom(predicate(name), args), Atom(pred, args)
+        head, body = (new, old) if new_is_head else (old, new)
+        return Rule(next(rule_ids), head, (body,), RuleKind.BASE)
 
     # Step 1: split predicates that have both facts and defining rules.
-    straddling = sorted(
-        prog.fact_predicates & prog.head_predicates, key=lambda p: p.text
-    )
-    for pred in straddling:
+    for pred in sorted(prog.fact_predicates & prog.head_predicates, key=lambda p: p.text):
         arity = next(f.fact.arity for f in facts if f.fact.predicate is pred)
-        src_name = fresh_predicate_name(f"{pred.text}__f", taken)
-        taken.add(src_name)
-        src = predicate(src_name)
+        rules.append(bridge(pred, "__f", arity, new_is_head=False))
+        src = rules[-1].body[0].predicate
         facts = [
-            replace(f, fact=Atom(src, f.fact.args))
-            if f.fact.predicate is pred
-            else f
+            replace(f, fact=Atom(src, f.fact.args)) if f.fact.predicate is pred else f
             for f in facts
         ]
-        head_vars = tuple(variable(f"X{i}") for i in range(arity))
-        rules.append(
-            Rule(
-                next_rule_id,
-                Atom(pred, head_vars),
-                (Atom(src, head_vars),),
-                RuleKind.BASE,
-            )
-        )
-        next_rule_id += 1
 
     # Step 2: classify bodies; alias database predicates in mixed bodies.
     derived = {r.head.predicate for r in rules}
-    aliases: dict[Symbol, Symbol] = {}
-    alias_rules: list[Rule] = []
+    aliases: dict[Symbol, Rule] = {}
 
-    def alias_for(pred: Symbol, arity: int) -> Symbol:
-        nonlocal next_rule_id
-        cached = aliases.get(pred)
-        if cached is not None:
-            return cached
-        name = fresh_predicate_name(f"{pred.text}__d", taken)
-        taken.add(name)
-        alias = predicate(name)
-        aliases[pred] = alias
-        head_vars = tuple(variable(f"X{i}") for i in range(arity))
-        alias_rules.append(
-            Rule(
-                next_rule_id,
-                Atom(alias, head_vars),
-                (Atom(pred, head_vars),),
-                RuleKind.BASE,
-            )
-        )
-        next_rule_id += 1
-        return alias
+    def alias(a: Atom) -> Atom:
+        if a.predicate in derived:
+            return a
+        if a.predicate not in aliases:
+            aliases[a.predicate] = bridge(a.predicate, "__d", a.arity, new_is_head=True)
+        return Atom(aliases[a.predicate].head.predicate, a.args)
 
-    out_rules: list[Rule] = []
-    for rule in rules:
-        in_derived = [a.predicate in derived for a in rule.body]
-        if not any(in_derived):
-            out_rules.append(replace(rule, kind=RuleKind.BASE))
-        elif all(in_derived):
-            out_rules.append(replace(rule, kind=RuleKind.NONBASE))
-        else:
-            body = tuple(
-                a
-                if a.predicate in derived
-                else Atom(alias_for(a.predicate, a.arity), a.args)
-                for a in rule.body
-            )
-            out_rules.append(replace(rule, body=body, kind=RuleKind.NONBASE))
-
-    out = Program(
-        tuple(out_rules + alias_rules), tuple(facts), prog.queries
-    )
+    out_rules = [
+        replace(rule, body=tuple(map(alias, rule.body)), kind=RuleKind.NONBASE)
+        if any(a.predicate in derived for a in rule.body)
+        else replace(rule, kind=RuleKind.BASE)
+        for rule in rules
+    ]
+    out = Program(tuple(out_rules) + tuple(aliases.values()), tuple(facts), prog.queries)
     assert out.is_normalized()
     return out

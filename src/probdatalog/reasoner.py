@@ -1,11 +1,13 @@
 """Round-based reasoning loops that populate an execution graph.
 
 Each round extends the graph by one depth level, with a node only for
-parents whose stored root facts join the rule body, builds from the
-groundings that join found the non-redundant candidate derivations of
-every fresh node, optionally collapses each root's candidates into one OR
-entry, and removes nodes that stored nothing.  The loop stops when
-a round stores nothing: the graph depth has then stopped growing.
+parents whose stored root facts join the rule body (in round 1 the
+database's, filed as the depth-0 store before the loop starts), builds
+from the groundings that join found the non-redundant candidate
+derivations of every fresh node, optionally collapses each root's
+candidates into one OR entry, and removes nodes that stored nothing.  The
+loop stops when a round stores nothing: the graph depth has then stopped
+growing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .derivations import (
     is_hereditarily_redundant,
     should_collapse,
 )
-from .graph import ExecutionGraph, RootIndex, base_step, groundings, inductive_step
+from .graph import ExecutionGraph, RootIndex, inductive_step
 from .model import EntryBudgetError, Program
 
 
@@ -38,9 +40,9 @@ class ReasonerOptions:
     threshold: int = 10
     max_depth: Optional[int] = None
     # Caps graph nodes as well as entries: growth is join-driven, so every
-    # non-base node had a grounding, and each grounding counts a candidate,
-    # built or not.
-    # It also bounds the groundings the growth join keeps for a round.
+    # node had a grounding, and each grounding counts a candidate, built or
+    # not.  It also bounds the groundings the growth join keeps for a round,
+    # so a round cut short by it adds no node, round 1 included.
     max_entries: Optional[int] = None
     # Disabling the redundancy filter turns the loop into the unfiltered
     # variant used to cross-check per-round lineage against the fixpoint
@@ -108,9 +110,10 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         raise ValueError("program must be normalized before reasoning")
     facts = FactIndex(prog.facts)
     rules = sorted(prog.rules, key=lambda r: r.id)
-    g = base_step(rules)
+    g = ExecutionGraph()
     stores: Dict[int, NodeStore] = {}
-    index = RootIndex()  # every stored node's root facts, for graph growth
+    index = RootIndex()  # the root facts graph growth joins, round by round
+    index.add(None, facts.by_root)  # the database, the depth-0 store, first
     stats = ReasonerStats()
     stop_reason = "fixpoint"
     allocated_total = 0
@@ -121,16 +124,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         k += 1
         rs = RoundStats(round=k)
         try:
-            if k == 1:
-                grown = [
-                    (v, groundings(v.rule, [
-                        facts.by_pred.get(a.predicate, []) for a in v.rule.body
-                    ]))
-                    for v in g.nodes
-                ]
-            else:
-                grown = inductive_step(g, rules, k, index, cap - allocated_total)
-            for v, found in grown:
+            for v, found in inductive_step(g, rules, k, index, cap - allocated_total):
                 inst = instantiate_node(
                     v, found, facts, stores, cap - allocated_total,
                     is_hereditarily_redundant if opts.redundancy_filter else None,
@@ -160,7 +154,7 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
                 if allocated_total > cap:
                     raise EntryBudgetError("entry budget exceeded")
                 stores[v.id] = store
-                index.add(v, store.by_root)
+                index.add(v.id, store.by_root)
         except EntryBudgetError:
             stop_reason = "max_entries"
 

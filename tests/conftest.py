@@ -1,7 +1,8 @@
 import pytest
 
-from probdatalog import ReasonerOptions, normalize, parse_program, reasoner
-from probdatalog.graph import RootIndex
+from probdatalog import ReasonerOptions, inductive_step, normalize, parse_program, reasoner
+from probdatalog.derivations import FactIndex
+from probdatalog.graph import ExecutionGraph, RootIndex
 
 RUNNING_EXAMPLE = """\
 0.5::e(a,b).
@@ -56,31 +57,43 @@ def reason(prog, mode="off"):
 
 
 class FilingIndex(RootIndex):
-    """A root index that also keeps the root facts filed for each node id."""
+    """A root index that also keeps the root facts filed for each node id,
+    and the database's under None."""
 
     def __init__(self):
         super().__init__()
         self.roots = {}
 
-    def add(self, node, roots):
-        self.roots[node.id] = roots
-        super().add(node, roots)
+    def add(self, node_id, roots):
+        self.roots[node_id] = roots
+        super().add(node_id, roots)
 
 
 def root_index(g, roots, k):
     """A root index fed afresh for round k: `roots` maps node ids to root
-    facts, and the live nodes of `g` below depth k - 1 are filed a round
-    before those at depth k - 1."""
+    facts and None to the database's, at depth 0.  What lies below depth
+    k - 1 is filed a round before what lies at depth k - 1."""
     index = RootIndex()
-    stored = [n for n in g.live_nodes() if n.id in roots and n.depth < k]
-    for n in stored:
-        if n.depth < k - 1:
-            index.add(n, roots[n.id])
+    depths = [(None, 0)] + [(n.id, n.depth) for n in g.live_nodes()]
+    stored = [(v, d) for v, d in depths if v in roots and d < k]
+    for v, d in stored:
+        if d < k - 1:
+            index.add(v, roots[v])
     index.advance()
-    for n in stored:
-        if n.depth == k - 1:
-            index.add(n, roots[n.id])
+    for v, d in stored:
+        if d == k - 1:
+            index.add(v, roots[v])
     return index
+
+
+def grow_round_one(prog):
+    """The graph round 1 grows from an empty one, over an index holding the
+    database: a node per base rule whose body the facts ground."""
+    g = ExecutionGraph()
+    index = RootIndex()
+    index.add(None, FactIndex(prog.facts).by_root)
+    inductive_step(g, prog.rules, 1, index)
+    return g
 
 
 @pytest.fixture

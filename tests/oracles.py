@@ -169,8 +169,12 @@ def k_compatible(g: ExecutionGraph, rule: Rule, k: int) -> List[tuple]:
 
     Per body position the head predicate must match, every parent must be
     shallower than k, and at least one parent must sit at depth k - 1.
-    Tuples come out in lexicographic node-id order.
+    Tuples come out in lexicographic node-id order.  A base rule's body
+    reads the database, at depth 0, so its one tuple is the empty one, at
+    depth 1.
     """
+    if rule.kind is RuleKind.BASE:
+        return [()] if k == 1 else []
     per_position: List[List[EgNode]] = []
     for a in rule.body:
         cands = [
@@ -190,13 +194,8 @@ def k_compatible(g: ExecutionGraph, rule: Rule, k: int) -> List[tuple]:
 
 def grow_unpruned(g: ExecutionGraph, rules, k: int) -> List[EgNode]:
     """Extend `g` to depth k with a node for every k-compatible tuple of
-    every non-base rule, whether or not its parents' facts join."""
-    return [
-        g.add_node(r, parents)
-        for r in rules
-        if r.kind is RuleKind.NONBASE
-        for parents in k_compatible(g, r, k)
-    ]
+    every rule, whether or not its parents' facts join."""
+    return [g.add_node(r, parents) for r in rules for parents in k_compatible(g, r, k)]
 
 
 def node_groundings(node: EgNode, facts, stores) -> List[tuple]:

@@ -13,8 +13,23 @@ from pathlib import Path
 import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example, reason
+from corpus import random_program_text
 from oracles import path_probability
-from probdatalog import Dnf, cli, collect_lineage, normalize, parse_program, probability
+from probdatalog import (
+    FALSE,
+    Dnf,
+    ReasonerOptions,
+    cli,
+    collect_lineage,
+    normalize,
+    parse_atom,
+    parse_program,
+    probability,
+    round_bounds,
+    run_pcor,
+    run_pr,
+    tcp_fixpoint,
+)
 from test_wmc import reliability_text
 
 
@@ -248,6 +263,58 @@ class TestBoundsSolves:
         )
         assert len(set(solved)) == 2
         assert report["stats"]["time_ms"]["prob"] >= 1000 * pause * len(set(solved))
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("command", [
+        ("run", "--collapse", "off"), ("run", "--collapse", "on"),
+        ("oracle", "--engine", "tcp"), ("oracle", "--engine", "delta-tcp"),
+    ], ids=["run-off", "run-on", "tcp", "delta-tcp"])
+    def test_bounds_equal_a_solve_of_every_snapshot(self, capsys, tmp_path, command, seed):
+        # the reference for solving each run of one lineage once
+        text = random_program_text(seed)
+        path = tmp_path / "corpus.pl"
+        path.write_text(text)
+        prog = normalize(parse_program(text))
+        if command[0] == "oracle":
+            history = tcp_fixpoint(prog, cli.TCP_MODES[command[2]]).history
+        elif command[2] == "off":
+            history = round_bounds(run_pr(prog))[1:]
+        else:
+            history = round_bounds(run_pcor(prog, ReasonerOptions(collapse="on")))[1:]
+        code, report = run_json(capsys, *command, "--program", str(path), "--bounds")
+        assert code == 0 and report["answers"]
+        for ans in report["answers"]:
+            fact = parse_atom(ans["fact"])
+            expected = [probability(snap.get(fact, FALSE), prog.weights) for snap in history]
+            assert ans["bounds"] == pytest.approx(expected, abs=1e-12)
+
+    def test_bounds_solve_work_grows_with_lineage_changes(self, capsys, monkeypatch, tmp_path):
+        # A work count, not a time: on a 300-edge path each of the 301
+        # answers has 301 bounds but only two lineages, none and its own.
+        # Looking every bound up by its lineage would hash about 180,000
+        # lineages; a bound is solved again only where the lineage changes.
+        path = tmp_path / "path.pl"
+        path.write_text(
+            "r(n0).\n"
+            + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(300))
+            + "r(X) :- r(Y), e(Y,X).\n"
+        )
+        hashes, dnf_hash = [0], Dnf.__hash__
+
+        def counted(dnf):
+            hashes[0] += 1
+            return dnf_hash(dnf)
+
+        monkeypatch.setattr(Dnf, "__hash__", counted)
+        _, report = run_json(
+            capsys, "run", "--program", str(path), "--query", "r(X)", "--bounds"
+        )
+        answers = report["answers"]
+        assert len(answers) == 301
+        assert all(len(a["bounds"]) == 301 for a in answers)
+        assert all(a["bounds"][-1] == a["probability"] for a in answers)
+        assert hashes[0] <= 10 * len(answers)
 
 
 class TestErrors:

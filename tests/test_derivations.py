@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from conftest import RUNNING_EXAMPLE, collapse_example, reason, root_index
+from conftest import RUNNING_EXAMPLE, collapse_example, grow_round_one, reason, root_index
 from corpus import corpus, random_tiny_program_text
 from oracles import has_or, node_groundings, root_only_redundant, unfold
 from probdatalog import (
     ReasonerOptions,
-    base_step,
     chain_program,
     collapse,
     inductive_step,
@@ -29,21 +28,19 @@ from probdatalog.derivations import (
     NodeStore,
     _atom_cone,
 )
-from probdatalog.graph import RootIndex, groundings
+from probdatalog.graph import ExecutionGraph, RootIndex
 from probdatalog.model import atom
 
 
 def run_rounds(prog, depth, filter_redundant=True):
     """Drive instantiate_node round by round, mirroring the plain loop."""
-    g = base_step(prog.rules)
+    g = ExecutionGraph()
     facts = FactIndex(prog.facts)
     stores = {}
     index = RootIndex()
+    index.add(None, facts.by_root)
     for k in range(1, depth + 1):
-        if k == 1:
-            grown = [(v, base_groundings(v, facts)) for v in g.live_nodes()]
-        else:
-            grown = inductive_step(g, prog.rules, k, index)
+        grown = inductive_step(g, prog.rules, k, index)
         redundant = is_hereditarily_redundant if filter_redundant else None
         for v, found in grown:
             store = NodeStore(v.id)
@@ -54,13 +51,8 @@ def run_rounds(prog, depth, filter_redundant=True):
                     store.add(e)
             if not store.entries:
                 g.remove_node(v.id)
-            index.add(v, store.by_root)
+            index.add(v.id, store.by_root)
     return g, stores
-
-
-def base_groundings(v, facts):
-    """A base node's groundings, from its rule's join against the database."""
-    return groundings(v.rule, [facts.by_pred.get(a.predicate, []) for a in v.rule.body])
 
 
 def tree_signature(x):
@@ -97,10 +89,10 @@ def count_atom(x, target) -> int:
 
 class TestInstantiateNode:
     def test_base_node_joins_database_facts(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         facts = FactIndex(running_prog.facts)
         v = g.node(0)
-        result = instantiate_node(v, base_groundings(v, facts), facts, {})
+        result = instantiate_node(v, node_groundings(v, facts, {}), facts, {})
         roots = {str(r) for r in result.by_root}
         assert roots == {"p(a,b)", "p(b,c)", "p(a,c)", "p(c,b)"}
         assert all(

@@ -8,6 +8,7 @@ from conftest import (
     RUNNING_EXAMPLE,
     FilingIndex,
     collapse_example,
+    grow_round_one,
     path_program,
     reason,
     root_index,
@@ -16,15 +17,18 @@ from corpus import corpus
 from oracles import grow_unpruned, k_compatible, node_groundings
 from probdatalog import (
     CollapseMode,
-    base_step,
+    ReasonerOptions,
     chain_program,
+    collect_lineage,
     inductive_step,
     instantiate_node,
     normalize,
+    parse_atom,
     parse_program,
     powerlaw_program,
     reasoner,
     run_pr,
+    run_pcor,
 )
 from probdatalog.derivations import FactIndex, NodeStore
 from probdatalog.graph import EgNode, ExecutionGraph, RootIndex
@@ -33,44 +37,78 @@ from probdatalog.model import Atom, RuleKind
 
 def running_index(g, prog, k):
     """The root index round k of a plain run finds, fed afresh."""
-    return root_index(g, {v: s.by_root for v, s in run_pr(prog).stores.items()}, k)
+    result = run_pr(prog)
+    roots = {v: s.by_root for v, s in result.stores.items()}
+    return root_index(g, {None: result.facts.by_root, **roots}, k)
 
 
 def build_running_graph(prog, depth):
-    g = base_step(prog.rules)
+    g = grow_round_one(prog)
     for k in range(2, depth + 1):
         inductive_step(g, prog.rules, k, running_index(g, prog, k))
     return g
 
 
-class TestBaseStep:
+class TestRoundOne:
+    """Round 1 is a growth round over the database, the depth-0 store."""
+
     def test_running_example_has_one_base_node(self, running_prog):
-        g = base_step(running_prog.rules)
-        assert [(n.id, n.rule.id, n.depth) for n in g.live_nodes()] == [(0, 0, 1)]
+        g = ExecutionGraph()
+        added = inductive_step(g, running_prog.rules, 1, running_index(g, running_prog, 1))
+        assert [(n.id, n.rule.id, n.depth, n.parents) for n, _ in added] == [(0, 0, 1, ())]
         assert g.depth() == 1
+        # the base rule's groundings: one per e fact, in lexicographic order
+        assert [str(head) for head, _ in added[0][1]] == [
+            "p(a,b)", "p(a,c)", "p(b,c)", "p(c,b)",
+        ]
 
     def test_collapse_example_base_nodes(self):
         text = (
             "0.5::q(a,b1).\n0.5::s(a,b1).\n"
             "r(X,Y) :- q(X,Y).\nt(X) :- r(X,Y).\nr(X,Y) :- t(X), s(X,Y)."
         )
-        norm = normalize(parse_program(text))
-        g = base_step(norm.rules)
+        g = grow_round_one(normalize(parse_program(text)))
         labels = [n.rule.head.predicate.text for n in g.live_nodes()]
         # among the three authored rules only the q-bodied one is base; the
         # other depth-1 node belongs to the alias rule normalize introduced
         assert labels.count("r") == 1
         assert sorted(labels) == ["r", "s__d"]
 
-    def test_empty_rule_set(self):
-        g = base_step(())
+    def test_empty_rule_set(self, running_prog):
+        g = grow_round_one(replace(running_prog, rules=()))
         assert g.depth() == 0
         assert list(g.live_nodes()) == []
+
+    def test_base_rule_without_facts_makes_no_node(self):
+        plain = RUNNING_EXAMPLE
+        extra = plain + "p(X,Y) :- f(X,Y).\n"
+        prog, extended = (normalize(parse_program(t)) for t in (plain, extra))
+        g = grow_round_one(extended)
+        assert [n.rule.id for n in g.nodes] == [0]
+        query = parse_atom("p(X,Y)")
+        for run in (run_pr, run_pcor):
+            a, b = run(prog), run(extended)
+            assert [(n.rule.id, n.parents, n.removed) for n in b.graph.nodes] == [
+                (n.rule.id, n.parents, n.removed) for n in a.graph.nodes
+            ]
+            assert collect_lineage(b, extended, query) == collect_lineage(a, prog, query)
+
+    def test_round_one_truncation_adds_no_node(self, running_prog):
+        # four e facts, four groundings: the growth join stops before any
+        # node is added, as in a partial later round
+        result = run_pr(running_prog, ReasonerOptions(max_entries=2))
+        assert result.stop_reason == "max_entries"
+        assert result.stats.rounds_executed == 1
+        assert result.graph.nodes == [] and result.stores == {}
+
+    def test_later_rounds_add_no_base_node(self, running_prog):
+        g = build_running_graph(running_prog, 3)
+        assert [n.id for n in g.nodes if n.rule.kind is RuleKind.BASE] == [0]
 
 
 class TestKCompatible:
     def test_round_two_tuple(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         r2 = running_prog.rules[1]
         assert k_compatible(g, r2, 2) == [(0, 0)]
 
@@ -84,14 +122,14 @@ class TestKCompatible:
             parse_program("0.5::e(a,b).\n0.5::f(a).\np(X,Y) :- e(X,Y).\nt(X) :- t(X), p(X,X).")
         )
         # t is derived but nothing ever produces it at depth 1
-        g = base_step(prog.rules)
+        g = grow_round_one(prog)
         t_rule = next(r for r in prog.rules if r.head.predicate.text == "t")
         assert k_compatible(g, t_rule, 2) == []
 
 
 class TestInductiveStep:
     def test_round_two_adds_one_node(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         added = inductive_step(g, running_prog.rules, 2, running_index(g, running_prog, 2))
         assert [(n.id, n.parents, n.depth) for n, _ in added] == [(1, (0, 0), 2)]
 
@@ -106,7 +144,7 @@ class TestInductiveStep:
         assert all(n.depth == 3 for n, _ in added)
 
     def test_no_compatible_tuples_leaves_graph_unchanged(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         before = len(g.nodes)
         # depth 3 needs a depth-2 parent, none exists yet
         assert inductive_step(g, running_prog.rules, 3, running_index(g, running_prog, 3)) == []
@@ -154,13 +192,13 @@ class TestRemoveNode:
         assert k_compatible(g, r2, 3) == []
 
     def test_double_removal_is_an_error(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         g.remove_node(0)
         with pytest.raises(KeyError):
             g.remove_node(0)
 
     def test_unknown_id_is_an_error(self, running_prog):
-        g = base_step(running_prog.rules)
+        g = grow_round_one(running_prog)
         with pytest.raises(KeyError):
             g.remove_node(99)
 
@@ -212,7 +250,6 @@ class TestJoinDrivenGrowth:
             expected = [
                 (r.id, parents)
                 for r in rules
-                if r.kind is RuleKind.NONBASE
                 for parents in k_compatible(g, r, k)
                 if node_groundings(EgNode(-1, r, k, parents), facts, stores)
             ]
@@ -290,7 +327,7 @@ class TestCarriedRootIndex:
         monkeypatch.setattr(reasoner, "RootIndex", FilingIndex)
         monkeypatch.setattr(reasoner, "inductive_step", step_like_fresh)
         result = reason(normalize(parse_program(text)), mode)
-        assert steps == list(range(2, result.stats.rounds_executed + 1))
+        assert steps == list(range(1, result.stats.rounds_executed + 1))
 
     def test_no_index_outlives_the_run(self, monkeypatch, running_prog):
         made = []
@@ -320,5 +357,5 @@ class TestCarriedRootIndex:
         assert result.rounds == 301
         roots = {a for s in result.stores.values() for a in s.by_root}
         assert len(roots) == 601 and roots <= calls.keys()
-        # once when the database is sorted, once when growth indexes it
-        assert max(calls.values()) <= 2
+        # once, when growth indexes it: the database is filed like a store
+        assert max(calls.values()) == 1
