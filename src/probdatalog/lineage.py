@@ -17,9 +17,12 @@ rest.
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .derivations import EMPTY, Child, Label
 from .model import Atom, Program, match_atom
@@ -227,16 +230,39 @@ def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dn
     )
 
 
+class _Snapshot(Mapping[Atom, Dnf]):
+    """Round k of `round_bounds`, read-only: each atom's lineage is its last
+    change at or before round k, so an unchanged lineage is the same object
+    in every round.  Atoms come in order of their first round."""
+
+    def __init__(self, changes: Dict[Atom, List[Tuple[int, Dnf]]], k: int, size: int):
+        self._changes, self._k, self._size = changes, k, size
+
+    def __getitem__(self, atom: Atom) -> Dnf:
+        history = self._changes[atom]
+        i = bisect.bisect(history, self._k, key=lambda change: change[0])
+        if not i:
+            raise KeyError(atom)
+        return history[i - 1][1]
+
+    def __iter__(self) -> Iterator[Atom]:
+        return islice(self._changes, self._size)
+
+    def __len__(self) -> int:
+        return self._size
+
+
 def round_bounds(
     result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None
-) -> List[Dict[Atom, Dnf]]:
+) -> List[Mapping[Atom, Dnf]]:
     """Lineage of every atom, or of `atoms` only, restricted to rounds <= k,
     for k from 0 to the final round (to 1 if that is 0), as in the
     reference engine's map after round k, database facts included.  Round
-    k populates the depth-k nodes, so from one read of the stores, snapshot
-    k takes snapshot k - 1 and gathers again only the atoms stored at depth
-    k.  Probabilities of successive snapshots are nondecreasing and reach
-    the exact value at the final round.
+    k populates the depth-k nodes, so from one read of the stores, atoms
+    stored at depth k are gathered again for round k, and each atom keeps
+    only its list of (round, lineage) changes, which every round's
+    read-only view looks up.  Probabilities of successive snapshots are
+    nondecreasing and reach the exact value at the final round.
     """
     found: Dict[Atom, Dict[int, List[Child]]] = {
         fact: {0: leaves} for fact, leaves in result.facts.by_root.items()
@@ -252,13 +278,14 @@ def round_bounds(
         for d in by_depth:
             fresh.setdefault(d, []).append(root)
     memo: Dict[int, Dnf] = {}
-    snaps: List[Dict[Atom, Dnf]] = [{}]
+    changes: Dict[Atom, List[Tuple[int, Dnf]]] = {}  # in order of first round
+    snaps: List[Mapping[Atom, Dnf]] = []
     for k in range(max(result.rounds, 1) + 1):
-        snaps.append(dict(snaps[-1]))
         for root in fresh.get(k, ()):
             entries = [e for d, es in found[root].items() if d <= k for e in es]
-            snaps[-1][root] = _gather(entries, DEFAULT_CLAUSE_CAP, memo)
-    return snaps[1:]
+            changes.setdefault(root, []).append((k, _gather(entries, DEFAULT_CLAUSE_CAP, memo)))
+        snaps.append(_Snapshot(changes, k, len(changes)))
+    return snaps
 
 
 def check_query(prog: Program, query: Atom) -> None:

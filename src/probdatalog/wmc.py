@@ -11,11 +11,11 @@ product.  A clause is an int bitmask over the variables renumbered in id
 order, and a residual formula is the ascending tuple of its distinct
 masks, so the tuple is its own memo key.  Setting x true needs only cross
 absorption: a shortened clause c - {x} may swallow a clause that never
-held x.  Components come from a sweep in mask order, or, if its runs
-overlap, from closures grown from the smallest clause left; a component is
-connected, so it is not split again.  The search runs on a stack of frames
-and a stack of values, so no call recurses and the recursion limit does
-not bound it; a path-shaped DNF still costs time quadratic in its length.
+held x.  Components are the connected runs of a sweep in mask order,
+merged while they share a variable; a component is connected, so it is
+not split again.  The search runs on a stack of frames and a stack of
+values, so no call recurses and the recursion limit does not bound it; a
+path-shaped DNF still costs time quadratic in its length.
 The memo is released on return.  `brute_force_probability` enumerates
 possible worlds literally as the independent oracle; only it imports
 numpy (about 14 MB).
@@ -24,7 +24,7 @@ numpy (about 14 MB).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import _count_elements  # the C counter behind Counter.update
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -68,9 +68,9 @@ class _Bits(dict):  # clause mask -> its bit positions, ascending, filled on loo
 
 
 def _components(clauses: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Variable-disjoint groups of ascending clause masks: runs of clauses
-    that touch their run so far, or, if runs overlap, closures grown from the
-    smallest clause left.  Groups come in order of their smallest mask."""
+    """Variable-disjoint groups of ascending clause masks, by smallest mask:
+    a sweep in mask order cuts runs, each clause touching its run so far, so
+    a run is connected, and the runs merge while their unions share a bit."""
     starts, reach, cur = [0], [], clauses[0]
     for i, m in enumerate(clauses):
         if not m & cur:
@@ -79,18 +79,18 @@ def _components(clauses: Tuple[int, ...]) -> List[Tuple[int, ...]]:
             cur = 0
         cur |= m
     reach.append(cur)
+    runs = [clauses[a:b] for a, b in zip(starts, starts[1:] + [None])]
     if reduce(or_, reach) == sum(reach):  # the runs share no bit
-        return [clauses[a:b] for a, b in zip(starts, starts[1:] + [None])]
-    groups, rest = [], clauses
-    while rest:
-        cur, grown = 0, rest[0]
-        while grown != cur:
-            cur = grown
-            group = [m for m in rest if m & cur]
-            grown = reduce(or_, group)
-        groups.append(tuple(group))
-        rest = [m for m in rest if not m & cur]
-    return groups
+        return runs
+    groups: List[Tuple[int, List[int]]] = []  # (union, clauses), disjoint
+    for u, run in zip(reach, runs):
+        part = list(run)
+        for v, p in groups:
+            if v & u:
+                u |= v
+                part += p
+        groups = [g for g in groups if not g[0] & u] + [(u, part)]
+    return [clauses] if len(groups) == 1 else sorted(tuple(sorted(p)) for _, p in groups)
 
 
 def _independent_or(ps: List[float]) -> float:
@@ -140,12 +140,8 @@ def probability(
         elif not clauses:
             vals.append(0.0)
         elif len(clauses) == 1 or clauses[0] == 0:  # a conjunction, or true
-            m, out = clauses[0], 1.0
-            while m:  # highest variable first, the nesting Shannon expansion gave
-                i = m.bit_length() - 1
-                out *= w[i]
-                m ^= 1 << i
-            vals.append(out)
+            # highest variable first, the nesting Shannon expansion gave
+            vals.append(math.prod([w[i] for i in reversed(bits[clauses[0]])], start=1.0))
         elif (cached := memo.get(clauses)) is not None:
             vals.append(cached)
         else:
@@ -157,21 +153,23 @@ def probability(
                 todo.append((_OR, clauses, len(comps)))
                 todo.extend([(_SOLVE, comp, None) for comp in reversed(comps)])
             else:
-                counts = Counter(chain.from_iterable(map(bits.__getitem__, clauses)))
+                counts: Dict[int, int] = {}
+                _count_elements(counts, chain(*map(bits.__getitem__, clauses)))
                 top = max(counts.values())
                 pos = min([i for i, n in counts.items() if n == top])
                 b = 1 << pos
                 without = tuple([m for m in clauses if not m & b])
                 shortened = [m ^ b for m in clauses if m & b]  # still ascending
                 # only a shortened clause can swallow, and only an unshortened one
-                kept, union = without, reduce(or_, without, 0)
-                for r in [r for r in shortened if not r & ~union]:
+                kept, outside = without, ~reduce(or_, without, 0)
+                for r in [r for r in shortened if not r & outside]:
                     kept = [u for u in kept if u & r != r]
-                true = tuple(sorted(shortened + list(kept)))  # a merge of two runs
+                shortened += kept  # now the true branch, a merge of two runs
+                shortened.sort()
                 todo.append((_SHANNON, clauses, w[pos]))
                 if w[pos] < 1.0:
                     todo.append((_SPLIT, without, None))
-                todo.append((_SPLIT, true, None))  # solved first
+                todo.append((_SPLIT, tuple(shortened), None))  # solved first
     return min(max(vals[0], 0.0), 1.0)
 
 

@@ -207,6 +207,8 @@ def random_dnf_40():
 PINNED_DNFS = {
     # 125 clauses over 60 variables
     "reliability 3x5": lambda: program_lineage(reliability_text(3, 5, 100), "p(s,t)"),
+    # 216 clauses over 84 variables; residuals of several hundred literals
+    "reliability 3x6": lambda: program_lineage(reliability_text(3, 6, 1), "p(s,t)"),
     "random 40-clause": random_dnf_40,
     "corpus u(a)": lambda: program_lineage(corpus(40)[10], "u(a)"),
 }
@@ -219,7 +221,12 @@ class TestSearchTree:
 
     @pytest.mark.parametrize(
         "name, expansions",
-        [("reliability 3x5", 6899), ("random 40-clause", 5410), ("corpus u(a)", 7)],
+        [
+            ("reliability 3x5", 6899),
+            ("reliability 3x6", 32310),
+            ("random 40-clause", 5410),
+            ("corpus u(a)", 7),
+        ],
     )
     def test_expansion_count_is_pinned(self, name, expansions):
         d, weights = PINNED_DNFS[name]()
@@ -307,6 +314,10 @@ class TestBitIdentity:
         assert bits[sample[0]] == sample[1]
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
 
+    def test_wide_reliability_is_bit_identical(self):
+        d, weights = PINNED_DNFS["reliability 3x6"]()
+        assert probability(d, weights).hex() == "0x1.fa3e312d0bea0p-1"
+
     def test_random_dnfs_are_bit_identical(self):
         digest = hashlib.sha256(random_dnf_bits(1, 2000).encode()).hexdigest()
         assert digest == "a5260b29ff6b8e19445040174541e176324cb40aea90edd48049a2fc79b37332"
@@ -327,10 +338,15 @@ class TestKernel:
     @example([{0}, {1, 2}, {3}])  # runs that share no bit
     @example([{0}, {1}, {0, 1}])  # runs joined only by a later clause
     @example([{0, 2}, {1}, {2, 3}, {4}, {1, 5}])  # overlapping runs, two groups
+    @example([{1}, {0, 2}, {1, 2}])  # overlapping runs, one group
+    @example([{0}, {1}, {2}, {0, 3}, {1, 3}, {2, 3}])  # three runs joined by a later run
     @settings(max_examples=300, deadline=None)
     def test_components_match_union_find(self, clauses):
         masks = tuple(sorted({sum(1 << v for v in c) for c in clauses}))
-        assert [tuple(g) for g in _components(masks)] == mask_components(masks)
+        groups = mask_components(masks)
+        assert [tuple(g) for g in _components(masks)] == groups
+        if len(groups) == 1:  # a connected residual comes back whole
+            assert _components(masks) == [masks]
 
     def test_memo_is_compact_and_released_on_return(self):
         d, weights = PINNED_DNFS["reliability 3x5"]()
