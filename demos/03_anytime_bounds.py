@@ -1,11 +1,13 @@
-# Anytime lower bounds from round snapshots.
+# Anytime lower bounds from per-round lineage.
 #
 # The lineage stored after k rounds covers every derivation of depth <= k,
 # so its probability is a lower bound on the true answer probability that
 # grows monotonically and reaches the exact value at the final round.
-# A snapshot equals the reference engine's map after round k, so the table
-# lists the database facts too; each holds by its own variable, so its row
-# is its probability from round 1 on.
+# `round_bounds` lists each atom's lineage changes as (round, lineage)
+# pairs; after round k an atom's lineage is its last change at or before
+# k, as in the reference engine's map after round k.  So the table lists
+# the database facts too, which change at round 0; each holds by its own
+# variable, so its row is its probability from round 1 on.
 # Bounds tighten whenever an extra explanation arrives at a deeper round,
 # so the showcase graph offers a direct edge, a two-hop detour, and a
 # three-hop detour between the same endpoints.
@@ -39,17 +41,16 @@ if result.stop_reason != "fixpoint":
     sys.exit(f"reasoning stopped early: {result.stop_reason}")
 print(f"reasoning ran {result.stats.rounds_executed} rounds\n")
 
-snaps = round_bounds(result)[1:]
-final = snaps[-1]
+changes = round_bounds(result)
+rounds = max(result.rounds, 1)
 
-print(f"{'atom':8} " + " ".join(f"round {k}" for k in range(1, len(snaps) + 1)))
-for atom in sorted(final, key=str):
+print(f"{'atom':8} " + " ".join(f"round {k}" for k in range(1, rounds + 1)))
+for atom in sorted(changes, key=str):
     bounds = []
-    for snap in snaps:
-        if atom in snap:
-            bounds.append(probability(snap[atom], prog.weights))
-        else:
-            bounds.append(0.0)  # not derived yet: the bound is trivial
+    for k in range(1, rounds + 1):
+        seen = [lineage for r, lineage in changes[atom] if r <= k]
+        # not derived yet: the bound is trivial
+        bounds.append(probability(seen[-1], prog.weights) if seen else 0.0)
     cells = " ".join(f"{b:7.4f}" for b in bounds)
     print(f"{str(atom):8} {cells}")
 

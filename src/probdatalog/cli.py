@@ -17,7 +17,6 @@ Exit codes: 0 ok, 1 parse/input error, 2 resource limit, 3 wmc budget,
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import functools
 import json
@@ -174,7 +173,7 @@ def _answers(
             for a in sorted(inst.formulas, key=Atom.sort_key)
             if any(match_atom(q, a, {}) is not None for q in queries)
         ]
-        history = inst.history
+        changes, rounds = inst.changes, inst.round
     else:
         runner = run_pr if engine == "pr" else run_pcor
         try:
@@ -201,12 +200,11 @@ def _answers(
             )
         t0 = time.perf_counter()
         answers = _collect_answers(result, prog, queries)
-        history = []
-        if want_bounds:
-            # At depth 0 round 1 stored nothing, but its snapshot still holds
-            # the facts, so every answer gets a bound, as from the reference
-            # engine.  Only the answers' entries are read.
-            history = round_bounds(result, {a.fact for a in answers})[1:]
+        # At depth 0 round 1 stored nothing, but the facts hold on into it,
+        # so every answer gets a bound, as from the reference engine.  Only
+        # the answers' entries are read.
+        rounds = max(result.rounds, 1)
+        changes = round_bounds(result, {a.fact for a in answers}) if want_bounds else {}
     lineage_ms = _ms(t0)
 
     t0 = time.perf_counter()
@@ -218,18 +216,14 @@ def _answers(
         return solved[dnf]
 
     def per_round(fact: Atom) -> List[float]:
-        # A snapshot carries an unchanged lineage as the same object and a
-        # changed one as a new object, and no round brings an old one back,
-        # so an answer's bounds are runs of one lineage each: bisection finds
-        # where each run ends, and each is solved once.
+        # Rounds 1 to `rounds`: a lineage holds until the next change, FALSE
+        # until the first, and it is solved once, if some round shows it.
         out: List[float] = []
-        while len(out) < len(history):
-            lineage = history[len(out)].get(fact, FALSE)
-            end = bisect.bisect(
-                range(len(history)), False, len(out),
-                key=lambda k: history[k].get(fact, FALSE) is not lineage,
-            )
-            out += [prob(lineage)] * (end - len(out))
+        lineage = FALSE
+        for k, change in [*changes[fact], (rounds + 1, None)]:
+            if k - 1 > len(out):
+                out += [prob(lineage)] * (k - 1 - len(out))
+            lineage = change
         return out
 
     bounds = {a.fact: per_round(a.fact) for a in answers if want_bounds}

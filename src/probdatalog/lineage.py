@@ -13,15 +13,17 @@ database is the depth-0 store, so a fact's lineage is its own variable by
 the same path, as in the reference engine's initial map.  An entry with no
 OR below it is one clause, set on it when it was built; `phi` unfolds the
 rest.
+
+Per-round bounds take the form both engines share, `Changes`: each atom's
+list of (round, lineage) changes, rounds ascending, no two consecutive
+lineages equal.  An atom's lineage after round k is its last change at or
+before k, FALSE before its first.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .derivations import EMPTY, Child, Label
@@ -230,39 +232,16 @@ def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dn
     )
 
 
-class _Snapshot(Mapping[Atom, Dnf]):
-    """Round k of `round_bounds`, read-only: each atom's lineage is its last
-    change at or before round k, so an unchanged lineage is the same object
-    in every round.  Atoms come in order of their first round."""
-
-    def __init__(self, changes: Dict[Atom, List[Tuple[int, Dnf]]], k: int, size: int):
-        self._changes, self._k, self._size = changes, k, size
-
-    def __getitem__(self, atom: Atom) -> Dnf:
-        history = self._changes[atom]
-        i = bisect.bisect(history, self._k, key=lambda change: change[0])
-        if not i:
-            raise KeyError(atom)
-        return history[i - 1][1]
-
-    def __iter__(self) -> Iterator[Atom]:
-        return islice(self._changes, self._size)
-
-    def __len__(self) -> int:
-        return self._size
+Changes = Dict[Atom, List[Tuple[int, Dnf]]]
 
 
-def round_bounds(
-    result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None
-) -> List[Mapping[Atom, Dnf]]:
-    """Lineage of every atom, or of `atoms` only, restricted to rounds <= k,
-    for k from 0 to the final round (to 1 if that is 0), as in the
-    reference engine's map after round k, database facts included.  Round
-    k populates the depth-k nodes, so from one read of the stores, atoms
-    stored at depth k are gathered again for round k, and each atom keeps
-    only its list of (round, lineage) changes, which every round's
-    read-only view looks up.  Probabilities of successive snapshots are
-    nondecreasing and reach the exact value at the final round.
+def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None) -> Changes:
+    """The `Changes` of every atom, or of `atoms` only, facts at round 0,
+    each as in the reference engine's map after its round.  Round k
+    populates the depth-k nodes, so from one read of the stores, atoms
+    stored at depth k are gathered again for round k, and a lineage is kept
+    only where it differs from the atom's last.  Probabilities along a list
+    never decrease, and the last is the exact value.
     """
     found: Dict[Atom, Dict[int, List[Child]]] = {
         fact: {0: leaves} for fact, leaves in result.facts.by_root.items()
@@ -278,14 +257,15 @@ def round_bounds(
         for d in by_depth:
             fresh.setdefault(d, []).append(root)
     memo: Dict[int, Dnf] = {}
-    changes: Dict[Atom, List[Tuple[int, Dnf]]] = {}  # in order of first round
-    snaps: List[Mapping[Atom, Dnf]] = []
-    for k in range(max(result.rounds, 1) + 1):
-        for root in fresh.get(k, ()):
+    changes: Changes = {}  # in order of first round
+    for k in sorted(fresh):
+        for root in fresh[k]:
             entries = [e for d, es in found[root].items() if d <= k for e in es]
-            changes.setdefault(root, []).append((k, _gather(entries, DEFAULT_CLAUSE_CAP, memo)))
-        snaps.append(_Snapshot(changes, k, len(changes)))
-    return snaps
+            lineage = _gather(entries, DEFAULT_CLAUSE_CAP, memo)
+            history = changes.setdefault(root, [])
+            if not history or history[-1][1] != lineage:
+                history.append((k, lineage))
+    return changes
 
 
 def check_query(prog: Program, query: Atom) -> None:

@@ -8,6 +8,11 @@ round's.  `delta` mode restricts each round to instantiations that involve
 at least one atom updated in the previous round (semi-naive evaluation) and
 yields an equivalent fixpoint with fewer rule instantiations.
 
+Every run terminates.  A formula only grows: a round that changes it makes
+it a strictly larger monotone Boolean function of the program's finitely
+many fact variables.  The ground atoms are finitely many too, so after
+finitely many changing rounds a round changes nothing.
+
 This engine is deliberately simple; it serves as the correctness oracle for
 the graph-based reasoner and is exposed through the CLI for comparison.
 """
@@ -15,9 +20,9 @@ the graph-based reasoner and is exposed through the CLI for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .lineage import FALSE, TRUE, Dnf
+from .lineage import FALSE, TRUE, Changes, Dnf
 from .model import Atom, Program, Symbol, join, substitute
 
 
@@ -31,19 +36,23 @@ class TcpInstance:
 
     `updated` holds the atoms whose formula changed (as a Boolean function)
     in the most recent round; the fixpoint is reached when it is empty.
-    `history[k - 1]` is the map after round k, so the last one is `formulas`.
+    `changes` lists each atom's (round, formula) changes, the facts' at
+    round 0, in the bounds representation that `lineage.round_bounds`
+    returns too; an atom's last change is its entry in `formulas`.
     """
 
     formulas: Dict[Atom, Dnf]
-    round: int = 0
-    instantiations: int = 0
-    updated: frozenset[Atom] = frozenset()
-    history: Tuple[Dict[Atom, Dnf], ...] = ()
+    round: int
+    instantiations: int
+    updated: frozenset[Atom]
+    changes: Changes
 
 
 def tcp_initial(prog: Program) -> TcpInstance:
     formulas = {f.fact: Dnf.single(f.var) for f in prog.facts}
-    return TcpInstance(formulas, 0, 0, frozenset(formulas))
+    return TcpInstance(
+        formulas, 0, 0, frozenset(formulas), {a: [(0, d)] for a, d in formulas.items()}
+    )
 
 
 def _by_predicate(formulas: Dict[Atom, Dnf]) -> Dict[Symbol, List[Atom]]:
@@ -56,7 +65,8 @@ def _by_predicate(formulas: Dict[Atom, Dnf]) -> Dict[Symbol, List[Atom]]:
 
 
 def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstance:
-    """One derive/aggregate/update round; returns the next instance."""
+    """One derive/aggregate/update round; returns the next instance and
+    leaves `inst` as it was."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown mode {mode!r}")
     by_pred = _by_predicate(inst.formulas)
@@ -92,7 +102,8 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
                         lists.append(atoms)
                 derive(rule.body, lists, rule.head)
 
-    formulas = dict(inst.formulas)
+    k = inst.round + 1
+    formulas, changes = dict(inst.formulas), dict(inst.changes)
     changed = set()
     for head, mu in delta.items():
         old = formulas.get(head, FALSE)
@@ -101,32 +112,25 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
         # reduces to equality here.
         if new != old:
             changed.add(head)
-        formulas[head] = new
-    return TcpInstance(
-        formulas,
-        inst.round + 1,
-        inst.instantiations + count,
-        frozenset(changed),
-        (*inst.history, formulas),
-    )
+            formulas[head] = new
+            changes[head] = [*changes.get(head, ()), (k, new)]
+    return TcpInstance(formulas, k, inst.instantiations + count, frozenset(changed), changes)
 
 
 def tcp_fixpoint(
     prog: Program, mode: str = "naive", max_rounds: Optional[int] = None
 ) -> TcpInstance:
-    """Iterate rounds until no formula changes, at most `max_rounds` of
-    them (default 64).
+    """Iterate rounds until no formula changes.  With `max_rounds`, raise
+    `TcpRoundLimitError` if that many rounds do not reach the fixpoint;
+    without it, the run ends all the same (see the module docstring).
 
-    `round` names the round that detected the fixpoint, and `history` holds
-    every round's formulas up to it, from which per-round probability
-    bounds are read.
+    `round` names the round that detected the fixpoint, and `changes` holds
+    every change up to it, from which per-round probability bounds are read.
     """
-    if max_rounds is None:
-        max_rounds = 64
-    if max_rounds < 1:
+    if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     inst = tcp_initial(prog)
-    for _ in range(max_rounds):
+    while max_rounds is None or inst.round < max_rounds:
         inst = tcp_step(inst, prog, mode)
         if not inst.updated:
             return inst

@@ -36,6 +36,21 @@ def path_program(n):
     ))
 
 
+def snapshots(changes, rounds):
+    """Per-round lineage maps from per-atom change lists (`round_bounds`,
+    `TcpInstance.changes`): map k, for k from 0 to `rounds`, takes each atom
+    changed at or before round k to its last such lineage."""
+    by_round = {}
+    for atom, history in changes.items():
+        for k, lineage in history:
+            by_round.setdefault(k, []).append((atom, lineage))
+    out, current = [], {}
+    for k in range(rounds + 1):
+        current.update(by_round.get(k, ()))
+        out.append(dict(current))
+    return out
+
+
 # Bounds for the tests' corpus-driven and collapsed reasoning runs: over 10x
 # the most any of them needs, 1,573 entries (corpus seed 17, collapse on)
 # and 8 rounds (chain 8).  A run that fails to terminate may add one node a

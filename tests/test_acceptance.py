@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 
-from conftest import MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example
+from conftest import MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example, snapshots
 from corpus import random_tiny_program_text
 from oracles import atom_key, explanation_map, truth_table_equal
 from probdatalog import (
@@ -136,10 +136,10 @@ def test_criterion_3_per_round_equivalence_with_reference_engine():
         # by itself when no further rule instantiations exist)
         assert unfiltered.stop_reason in ("max_depth", "fixpoint"), seed
         inst = tcp_initial(prog)
-        snapshots = round_bounds(unfiltered)
+        snaps = snapshots(round_bounds(unfiltered), max(unfiltered.rounds, 1))
         for k in range(1, rounds + 1):
             inst = tcp_step(inst, prog)
-            snapshot = snapshots[min(k, len(snapshots) - 1)]  # the last holds on
+            snapshot = snaps[min(k, len(snaps) - 1)]  # the last holds on
             assert set(snapshot) == set(inst.formulas), (seed, k)
             for a, formula in snapshot.items():
                 assert truth_table_equal(formula, inst.formulas[a]), (seed, k, a)
@@ -161,7 +161,7 @@ def engine_probabilities(prog):
         ("pcor-auto", run_pcor, CollapseMode.AUTO),
     ):
         result = at_fixpoint(runner(prog, ReasonerOptions(collapse=mode, **bounded)))
-        snap = round_bounds(result)[result.rounds]
+        snap = snapshots(round_bounds(result), result.rounds)[result.rounds]
         out[name] = {a: probability(f, prog.weights) for a, f in snap.items()}
     for name, mode in (("tcp", "naive"), ("delta-tcp", "delta")):
         inst = tcp_fixpoint(prog, mode)
@@ -195,7 +195,7 @@ def test_criterion_5_anytime_bounds_are_monotone_and_reach_the_exact_value():
     programs = [running_program()] + [corpus_program(seed) for seed in CORPUS_SEEDS]
     for prog in programs:
         result = run_pr(prog)
-        snaps = round_bounds(result)[1:result.rounds + 1]
+        snaps = snapshots(round_bounds(result), result.rounds)[1:]
         if not snaps:
             continue
         final = snaps[-1]
@@ -313,7 +313,7 @@ def test_criterion_9_minimal_explanation_conformance():
         assert len(prog.facts) <= 8
         expected = explanation_map(prog)
         result = run_pr(prog)
-        snap = round_bounds(result)[result.rounds]
+        snap = snapshots(round_bounds(result), result.rounds)[result.rounds]
         assert {atom_key(a) for a in snap} == set(expected), seed
         for a, formula in snap.items():
             assert truth_table_equal(formula, expected[atom_key(a)]), (seed, a)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RUNNING_EXAMPLE, collapse_example, reason
+from conftest import RUNNING_EXAMPLE, collapse_example, reason, snapshots
 from corpus import random_program_text
 from oracles import path_probability
 from probdatalog import (
@@ -277,11 +277,12 @@ class TestBoundsSolves:
         path.write_text(text)
         prog = normalize(parse_program(text))
         if command[0] == "oracle":
-            history = tcp_fixpoint(prog, cli.TCP_MODES[command[2]]).history
-        elif command[2] == "off":
-            history = round_bounds(run_pr(prog))[1:]
+            inst = tcp_fixpoint(prog, cli.TCP_MODES[command[2]])
+            history = snapshots(inst.changes, inst.round)[1:]
         else:
-            history = round_bounds(run_pcor(prog, ReasonerOptions(collapse="on")))[1:]
+            on = ReasonerOptions(collapse="on")
+            result = run_pr(prog) if command[2] == "off" else run_pcor(prog, on)
+            history = snapshots(round_bounds(result), max(result.rounds, 1))[1:]
         code, report = run_json(capsys, *command, "--program", str(path), "--bounds")
         assert code == 0 and report["answers"]
         for ans in report["answers"]:
@@ -719,6 +720,32 @@ class TestOracle:
         assert code == 2
         assert out["error"] == {"type": "resource", "message": "no fixpoint within 1 rounds"}
 
+    def test_a_path_of_more_than_64_rounds_needs_no_max_depth(self, capsys, tmp_path):
+        # 100 edges: TcP's fixpoint is round 102, with no round limit unless
+        # --max-depth sets one, as for `run`.  TcP counts the round that
+        # changes nothing, so its bounds repeat the last one once more.
+        path = tmp_path / "path.pl"
+        path.write_text(
+            "r(n0).\n"
+            + "".join(f"0.9::e(n{i},n{i + 1}).\n" for i in range(100))
+            + "r(X) :- r(Y), e(Y,X).\n"
+        )
+        args = ("--program", str(path), "--query", "r(X)")
+        _, run_report = run_json(capsys, "run", *args, "--bounds")
+        assert len(run_report["answers"]) == 101
+        for engine in ("tcp", "delta-tcp"):
+            code, report = run_json(capsys, "oracle", *args, "--bounds", "--engine", engine)
+            assert code == 0
+            assert [
+                {**a, "bounds": a["bounds"][:-1]} for a in report["answers"]
+            ] == run_report["answers"]
+            assert all(a["bounds"][-1] == a["probability"] for a in report["answers"])
+        code, report = run_json(capsys, "compare", *args)
+        assert code == 0 and not report["mismatch"]
+        assert [row["tcp"] for row in report["answers"]] == [
+            row["pr"] for row in report["answers"]
+        ]
+
 
 class TestGen:
     def test_same_seed_is_byte_identical(self, capsys):
@@ -805,7 +832,7 @@ class TestCompare:
     def test_corrupted_probabilities_exit_4(self, capsys, running_file, monkeypatch):
         real = cli.tcp_fixpoint
 
-        def corrupt(prog, mode="naive", max_rounds=64):
+        def corrupt(prog, mode="naive", max_rounds=None):
             inst = real(prog, mode, max_rounds)
             victim = next(a for a in inst.formulas if a.predicate.text == "p")
             inst.formulas[victim] = cli.Dnf.from_clauses([])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example, reason
+from conftest import (
+    MAX_DEPTH, MAX_ENTRIES, RUNNING_EXAMPLE, collapse_example, reason, snapshots,
+)
 from corpus import corpus
 from oracles import (
     atom_key,
@@ -299,7 +301,7 @@ class TestCollectLineage:
     def test_database_is_the_depth_zero_store(self, rules):
         prog = normalize(parse_program("0.5::e(a,b).\n0.25::e(b,c).\n0.5::f(a).\n" + rules))
         result = run_pr(prog)
-        assert round_bounds(result)[0] == tcp_initial(prog).formulas
+        assert snapshots(round_bounds(result), 0)[0] == tcp_initial(prog).formulas
         answers = collect_lineage(result, prog, parse_atom("e(X,Y)"))
         assert [(str(a.fact), a.lineage) for a in answers] == [
             ("e(a,b)", Dnf.single(0)),
@@ -426,7 +428,7 @@ def check_one_pass(result, prog):
             assert {a.fact: a.lineage for a in answers} == fold_collect(
                 result, prog, query, memo
             )
-    for k, snap in enumerate(round_bounds(result)):
+    for k, snap in enumerate(snapshots(round_bounds(result), max(result.rounds, 1))):
         assert snap == fold_snapshot(result, prog, k, memo)
 
 

@@ -1,7 +1,7 @@
 """Cross-cutting invariants on the randomized corpus."""
 
-from conftest import MAX_ENTRIES, reason
-from corpus import random_program_text
+from conftest import MAX_DEPTH, MAX_ENTRIES, reason, snapshots
+from corpus import random_program_text, random_tiny_program_text
 from probdatalog import (
     CollapseMode,
     ReasonerOptions,
@@ -9,6 +9,7 @@ from probdatalog import (
     parse_program,
     probability,
     round_bounds,
+    run_pcor,
     run_pr,
     tcp_fixpoint,
 )
@@ -45,8 +46,8 @@ def test_engines_agree_on_denser_corpus():
         plain = reason(prog)
         collapsed = reason(prog, CollapseMode.ON)
         reference = tcp_fixpoint(prog).formulas
-        snap = round_bounds(plain)[plain.rounds]
-        snap_c = round_bounds(collapsed)[collapsed.rounds]
+        snap = snapshots(round_bounds(plain), plain.rounds)[plain.rounds]
+        snap_c = snapshots(round_bounds(collapsed), collapsed.rounds)[collapsed.rounds]
         assert set(snap) == set(reference) == set(snap_c), seed
         for a in snap:
             values = [
@@ -55,6 +56,26 @@ def test_engines_agree_on_denser_corpus():
                 probability(reference[a], prog.weights),
             ]
             assert max(values) - min(values) <= 1e-9, (seed, a)
+
+
+def test_engines_share_one_bounds_representation():
+    # Both engines' per-atom change lists, the one form bounds take, are
+    # equal: each change at the same round with an equal lineage, and no
+    # list repeats a lineage it already holds.
+    bounded = dict(max_entries=MAX_ENTRIES, max_depth=MAX_DEPTH)
+    generators = (random_program_text, random_tiny_program_text)
+    texts = [gen(seed) for seed in SEEDS for gen in generators]
+    for i, text in enumerate(texts):
+        prog = normalize(parse_program(text))
+        reference = tcp_fixpoint(prog, "naive").changes
+        assert tcp_fixpoint(prog, "delta").changes == reference, i
+        for history in reference.values():
+            assert all(a[1] != b[1] for a, b in zip(history, history[1:])), i
+        for runner, mode in ((run_pr, "off"), (run_pcor, "on"), (run_pcor, "auto")):
+            result = runner(prog, ReasonerOptions(collapse=mode, **bounded))
+            stop_reason = result.stop_reason
+            assert stop_reason == "fixpoint", (i, mode)
+            assert round_bounds(result) == reference, (i, mode)
 
 
 def test_child_references_are_acyclic():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import collapse_example, path_program, reason
+from conftest import collapse_example, path_program, reason, snapshots
 from corpus import random_program_text
 from probdatalog import (
     CollapseMode,
@@ -210,19 +210,19 @@ class TestResourceGuards:
 
     def test_snapshots_survive_truncation(self, running_prog):
         result = run_pr(running_prog, ReasonerOptions(max_depth=1))
-        snap = round_bounds(result)[1]
+        snap = snapshots(round_bounds(result), 1)[1]
         assert snap[parse_atom("p(a,b)")] == Dnf.single(0)
 
 
 class TestSnapshots:
     def test_round_one_lineage(self, running_prog):
         result = reason(running_prog)
-        snap = round_bounds(result)[1]
+        snap = snapshots(round_bounds(result), result.rounds)[1]
         assert snap[parse_atom("p(a,b)")].to_json(running_prog.var_names) == [["e(a,b)"]]
 
     def test_round_two_lineage(self, running_prog):
         result = reason(running_prog)
-        snap = round_bounds(result)[2]
+        snap = snapshots(round_bounds(result), result.rounds)[2]
         assert snap[parse_atom("p(a,b)")].to_json(running_prog.var_names) == [
             ["e(a,b)"],
             ["e(a,c)", "e(c,b)"],
@@ -230,7 +230,7 @@ class TestSnapshots:
 
     def test_final_snapshot_equals_collected_lineage(self, running_prog):
         result = reason(running_prog)
-        snap = round_bounds(result)[result.rounds]
+        snap = snapshots(round_bounds(result), result.rounds)[result.rounds]
         for ans in collect_lineage(result, running_prog, parse_atom("p(X,Y)")):
             assert snap[ans.fact] == ans.lineage
 
@@ -242,8 +242,10 @@ class TestSnapshots:
             result = reason(prog, mode)
             wanted = {a.fact for a in collect_lineage(result, prog, parse_atom("p(a,X)"))}
             wanted.add(parse_atom("p(z,z)"))  # in no store
-            assert round_bounds(result, wanted) == [
-                {a: d for a, d in full.items() if a in wanted} for full in round_bounds(result)
+            rounds = max(result.rounds, 1)
+            assert snapshots(round_bounds(result, wanted), rounds) == [
+                {a: d for a, d in full.items() if a in wanted}
+                for full in snapshots(round_bounds(result), rounds)
             ]
 
     def test_bounds_read_each_store_once(self):
@@ -268,7 +270,7 @@ class TestSnapshots:
             store.by_root = read(store.by_root)
         answers = {a.fact for a in collect_lineage(result, prog, parse_atom("r(X)"))}
         reads.clear()
-        bounds = round_bounds(result, answers)
+        bounds = snapshots(round_bounds(result, answers), result.rounds)
         assert len(bounds) == 302 and len(bounds[-1]) == 301
         assert len(reads) == len(result.stores) + 1
         assert set(reads.values()) == {1}
@@ -277,7 +279,7 @@ class TestSnapshots:
         for seed in range(6):
             prog = normalize(parse_program(random_program_text(seed)))
             result = reason(prog)
-            snaps = round_bounds(result)[1:]
+            snaps = snapshots(round_bounds(result), max(result.rounds, 1))[1:]
             atoms = set().union(*(set(s) for s in snaps)) if snaps else set()
             for a in atoms:
                 probs = [

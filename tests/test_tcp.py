@@ -58,6 +58,22 @@ class TestRunningExampleRounds:
         assert not inst.updated
         assert inst.formulas == second
 
+    def test_changes_list_each_round_that_changed_a_formula(self, running_prog):
+        inst = tcp_fixpoint(running_prog)
+        assert {str(a): [k for k, _ in history] for a, history in inst.changes.items()} == {
+            "e(a,b)": [0], "e(b,c)": [0], "e(a,c)": [0], "e(c,b)": [0],
+            "p(a,b)": [1, 2], "p(a,c)": [1, 2], "p(b,c)": [1], "p(c,b)": [1],
+            "p(b,b)": [2], "p(c,c)": [2],
+        }
+        assert all(history[-1][1] == inst.formulas[a] for a, history in inst.changes.items())
+
+    @pytest.mark.parametrize("mode", ["naive", "delta"])
+    def test_step_leaves_its_input_as_it_was(self, running_prog, mode):
+        inst = tcp_step(tcp_initial(running_prog), running_prog, mode)
+        before = (dict(inst.formulas), {a: list(h) for a, h in inst.changes.items()})
+        tcp_step(inst, running_prog, mode)
+        assert (inst.formulas, inst.changes) == before
+
     def test_fixpoint_round_number(self, running_prog):
         inst = tcp_fixpoint(running_prog)
         assert inst.round == 3
