@@ -173,7 +173,7 @@ def _answers(
             for a in sorted(inst.formulas, key=Atom.sort_key)
             if any(match_atom(q, a, {}) is not None for q in queries)
         ]
-        changes, rounds = inst.changes, inst.round
+        changes, rounds = inst.changes, max(inst.round - 1, 1)  # the last changed nothing
     else:
         runner = run_pr if engine == "pr" else run_pcor
         try:

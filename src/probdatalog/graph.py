@@ -8,14 +8,14 @@ and removal is a tombstone so references into a node's store stay valid.
 
 The graph grows join-driven, round 1 included: a depth-k node is created
 only for a parent tuple whose stored root facts ground the rule body at
-least once.  Those tuples come from a semi-naive hash join (`model.join`)
-over the run's `RootIndex`, which holds the database as the depth-0 store
-and which round k extends by the depth-(k-1) nodes' roots alone.  So no
-node without a grounding is created; one whose every candidate is
-redundant still is, and is tombstoned after instantiation.  The join is
-the round's only one: each new node comes with its groundings, the head
-fact and the root fact chosen at each body position, which instantiation
-turns into entries.
+least once.  Those tuples come from each rule's compiled hash join
+(`model.groundings`), split semi-naively over the run's `RootIndex`, which
+holds the database as the depth-0 store and which round k extends by the
+depth-(k-1) nodes' roots alone.  So no node without a grounding is
+created; one whose every candidate is redundant still is, and is
+tombstoned after instantiation.  The join is the round's only one: each
+new node comes with its groundings, the head fact and the root fact
+chosen at each body position, which instantiation turns into entries.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import getitem
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
-from .model import Atom, EntryBudgetError, Rule, Symbol, join, substitute
-
-# The head fact and the root fact chosen at each body position.
-Grounding = tuple[Atom, tuple[Atom, ...]]
+from .model import Atom, EntryBudgetError, Grounding, Rule, Symbol, groundings
 
 
 @dataclass(eq=False)
@@ -76,19 +73,12 @@ class ExecutionGraph:
         return "\n".join(lines)
 
 
-def groundings(rule: Rule, candidates: Sequence[Iterable[Atom]]) -> Iterator[Grounding]:
-    """The groundings of `rule`'s body against per-position candidate facts,
-    in the join's order."""
-    for subst, chosen in join(rule.body, candidates):
-        yield substitute(rule.head, subst), chosen
-
-
 _BELOW, _AT, _ANY = 0, 1, 2  # depth below k - 1, exactly k - 1, below k
 
 
 class _View(dict):
     """Root fact -> ids of the nodes holding it, in lexicographic order of
-    the facts; `probes` keeps the hash indexes `join` built over it."""
+    the facts; `probes` keeps the hash indexes `groundings` built over it."""
 
 
 _EMPTY = _View()  # every empty view, kept in no part list, so none grows by it

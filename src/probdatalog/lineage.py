@@ -23,7 +23,6 @@ before k, FALSE before its first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .derivations import EMPTY, Child, Label
@@ -127,9 +126,10 @@ class Dnf:
     def is_true(self) -> bool:
         return EMPTY in self.clauses
 
-    @cached_property
+    @property
     def variables(self) -> frozenset[int]:
-        return frozenset(v for c in self.clauses for v in c)
+        # not cached: per-round bounds keep thousands of formulas alive
+        return EMPTY.union(*self.clauses)
 
     def or_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
         if self.is_true or other.is_false:

@@ -6,17 +6,23 @@ variable that is true with its annotated probability.  Rules may carry a
 probability themselves, which is desugared into an auxiliary nullary fact
 appended to the rule body.
 
-Symbols (constants, predicates, variables) are interned process-wide and
-compare by identity, and an atom hashes once, when built, so equality and
-hashing reduce to pointer and integer comparisons (Filliâtre & Conchon).
+Symbols (constants, predicates, variables) and atoms are hash-consed
+(Filliâtre & Conchon): equal content makes one object, so equality and
+hashing are the identity defaults, pointer comparisons in C.  A symbol
+lives as long as the process, an atom only while something references it.
+A rule's body is compiled once into a nested-loop hash join, `groundings`,
+which both engines use.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+import weakref
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass, replace
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
 
 
@@ -59,27 +65,37 @@ variable = _interner(SymbolKind.VARIABLE)
 predicate = _interner(SymbolKind.PREDICATE)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+_ATOMS: dict[tuple, weakref.KeyedRef] = {}  # (predicate, args) -> the live atom
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _ATOMS.get(ref.key) is ref:  # a newer atom may hold the key already
+        del _ATOMS[ref.key]
+
+
 class Atom:
-    """A predicate applied to constant/variable arguments; nullary allowed."""
+    """A predicate applied to constant/variable arguments; nullary allowed.
 
+    `Atom(predicate, args)` returns the one live atom with that content, so
+    atoms compare and hash by identity.  Atoms are immutable."""
+
+    __slots__ = ("predicate", "args", "__weakref__")
     predicate: Symbol
-    args: tuple[Symbol, ...] = ()
-    _hash: int = field(init=False, repr=False)
+    args: tuple[Symbol, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+    def __new__(cls, predicate: Symbol, args: tuple[Symbol, ...] = ()) -> "Atom":
+        ref = _ATOMS.get((predicate, args))
+        if ref is None or (a := ref()) is None:
+            a = object.__new__(cls)
+            object.__setattr__(a, "predicate", predicate)
+            object.__setattr__(a, "args", args)
+            _ATOMS[predicate, args] = weakref.KeyedRef(a, _forget, (predicate, args))
+        return a
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, *_):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Atom)
-            and self._hash == other._hash
-            and self.predicate is other.predicate
-            and self.args == other.args
-        )
+    __delattr__ = __setattr__
 
     @property
     def arity(self) -> int:
@@ -119,6 +135,11 @@ class Rule:
     head: Atom
     body: tuple[Atom, ...]
     kind: Optional[RuleKind] = None  # assigned by normalize()
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The rule compiled for `groundings`, once."""
+        return _compile(self)
 
     def __str__(self) -> str:
         return f"{self.head} :- {', '.join(str(a) for a in self.body)}"
@@ -171,25 +192,14 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Substitutions and joins
+# Matching and joins
 # ---------------------------------------------------------------------------
-
-Substitution = dict  # variable Symbol -> constant Symbol
-
-
-def substitute(a: Atom, subst: Mapping[Symbol, Symbol]) -> Atom:
-    if not a.args:
-        return a
-    return Atom(
-        a.predicate,
-        tuple(subst.get(t, t) if t.kind is SymbolKind.VARIABLE else t for t in a.args),
-    )
-
 
 def match_atom(
     pattern: Atom, fact: Atom, subst: Mapping[Symbol, Symbol]
-) -> Optional[Substitution]:
-    """Extend `subst` so that pattern[subst] == fact, or return None."""
+) -> Optional[dict[Symbol, Symbol]]:
+    """Extend `subst`, variable -> constant, so that pattern[subst] == fact,
+    or return None."""
     if pattern.predicate is not fact.predicate or len(pattern.args) != len(fact.args):
         return None
     out = dict(subst)
@@ -209,82 +219,100 @@ class EntryBudgetError(RuntimeError):
     """Raised when reasoning would exceed its entry allocation budget."""
 
 
-def join(
-    body: Sequence[Atom], candidates: Sequence[Collection[Atom]]
-) -> Iterator[tuple[Substitution, tuple[Atom, ...]]]:
-    """Enumerate substitutions grounding `body` against per-position facts.
+# A ground head and the fact chosen at each body position.
+Grounding = tuple[Atom, tuple[Atom, ...]]
 
-    Each substitution comes with the candidate fact it chose per position,
-    which equals that body atom under the substitution.  Substitutions come
-    out in lexicographic order of the chosen candidate facts, so iteration
-    is deterministic when the candidate lists are sorted.
 
-    The join is a hash join.  A position's candidates are hashed, when it is
-    first probed, on the argument positions its pattern binds already: by a
-    constant, or by a variable of an earlier body atom.  A probe is then one
-    dict lookup, whose bucket keeps the candidates' order, followed by
-    `match_atom`, which still checks repeated variables.  A position with
-    nothing bound iterates its candidates as they are.  Candidates with a
-    `probes` dict keep their hash indexes there, for later joins to reuse.
+def _getter(idx: Sequence[int], as_tuple: bool = False) -> Callable:
+    """Items `idx` of a sequence as a tuple, one item bare unless `as_tuple`."""
+    if len(idx) == 1 and as_tuple:
+        (i,) = idx
+        return lambda xs: (xs[i],)
+    return itemgetter(*idx) if idx else lambda _: ()
+
+
+# One body atom of a compiled rule: candidates are hashed on the arguments at
+# `positions`, `key` reads a probe's key from the slots, `first` copies the
+# variables first bound here to slots `lo` to `hi`, and each (p, q) of
+# `checks` asks argument p to repeat argument q.
+_Step = namedtuple("_Step", "predicate arity positions key first lo hi checks")
+
+
+def _compile(rule: Rule) -> tuple:
+    """Steps, initial slots, head predicate and head getter.  The body
+    variables' slots, by first occurrence, start empty; others hold a term."""
+    terms = [t for a in rule.body for t in a.args]
+    variables = dict.fromkeys(t for t in terms if t.kind is SymbolKind.VARIABLE)
+    slot = {t: i for i, t in enumerate(dict.fromkeys([*variables, *terms, *rule.head.args]))}
+    steps, bound = [], set()
+    for a in rule.body:
+        positions, first, checks = [], [], []
+        for p, t in enumerate(a.args):
+            if t.kind is not SymbolKind.VARIABLE or t in bound:
+                positions.append(p)
+            elif a.args.index(t) < p:
+                checks.append((p, a.args.index(t)))
+            else:
+                first.append(p)
+        lo = slot[a.args[first[0]]] if first else 0
+        key = _getter([slot[a.args[p]] for p in positions])
+        steps.append(_Step(a.predicate, len(a.args), tuple(positions), key,
+                           _getter(first, True), lo, lo + len(first), tuple(checks)))
+        bound.update(a.args)
+    slots = [None] * len(variables) + list(slot)[len(variables):]
+    return steps, slots, rule.head.predicate, _getter([slot[t] for t in rule.head.args], True)
+
+
+def _index(candidates: Collection[Atom], step: _Step) -> dict:
+    """The candidates of the step's predicate and arity, in their order,
+    by key.  A `probes` dict on `candidates` keeps it under that shape."""
+    probes = getattr(candidates, "probes", {})
+    shape = (step.predicate, step.arity, step.positions)
+    index = probes.get(shape)
+    if index is None:
+        index, key = probes.setdefault(shape, {}), _getter(step.positions)
+        for fact in candidates:
+            if fact.predicate is step.predicate and len(fact.args) == step.arity:
+                index.setdefault(key(fact.args), []).append(fact)
+    return index
+
+
+def groundings(rule: Rule, candidates: Sequence[Collection[Atom]]) -> Iterator[Grounding]:
+    """Each ground head of `rule` over per-position candidate facts, with
+    the candidate chosen at each position, in the nested loop's order; a
+    rule with no body, which no program has, has none.
+
+    The loop is a hash join compiled once per rule (`Rule.plan`): a probe
+    is one dict lookup on the arguments bound already, by a constant or an
+    earlier body atom, and its bucket keeps the candidates' order.
+    Candidates with a `probes` dict keep their hash indexes there, for
+    later joins to reuse.
     """
-    bound_at: list[tuple[int, ...]] = []
-    seen: set[Symbol] = set()
-    for a in body:
-        bound_at.append(tuple(
-            p for p, t in enumerate(a.args)
-            if t.kind is not SymbolKind.VARIABLE or t in seen
-        ))
-        seen.update(t for t in a.args if t.kind is SymbolKind.VARIABLE)
-    indexes: list[Optional[dict]] = [None] * len(body)
-
-    def probe(i: int, subst: Substitution) -> Collection[Atom]:
-        positions = bound_at[i]
-        if not positions:
-            return candidates[i]
-        pattern = body[i]
-        index = indexes[i]
-        if index is None:
-            kept = getattr(candidates[i], "probes", {})
-            shape = (pattern.predicate, len(pattern.args), positions)
-            index = indexes[i] = kept.get(shape)
-            if index is None:
-                index = indexes[i] = kept[shape] = {}
-                for fact in candidates[i]:
-                    if (
-                        fact.predicate is pattern.predicate
-                        and len(fact.args) == len(pattern.args)
-                    ):
-                        key = tuple(fact.args[p] for p in positions)
-                        index.setdefault(key, []).append(fact)
-        args = pattern.args
-        return index.get(tuple(subst.get(args[p], args[p]) for p in positions), ())
-
-    if body:
-        yield from _extend(body, probe, 0, {}, ())
-    else:
-        yield {}, ()
-
-
-def _extend(
-    body: Sequence[Atom],
-    probe: Callable[[int, Substitution], Collection[Atom]],
-    i: int,
-    subst: Substitution,
-    chosen: tuple[Atom, ...],
-) -> Iterator[tuple[Substitution, tuple[Atom, ...]]]:
-    # Module level, not a closure that calls itself: such a closure is a
-    # reference cycle, and would keep the join's hash indexes alive until
-    # the cyclic garbage collector runs.
-    pattern = body[i]
-    last = i == len(body) - 1
-    for fact in probe(i, subst):
-        ext = match_atom(pattern, fact, subst)
-        if ext is None:
-            continue
-        if last:
-            yield ext, chosen + (fact,)
+    steps, slots, pred, head = rule.plan
+    if not (steps and all(candidates)):
+        return
+    vals = list(slots)
+    indexes = [_index(c, s) for c, s in zip(candidates, steps)]
+    last = len(steps) - 1
+    chosen: list = [None] * len(steps)
+    its = [iter(indexes[0].get(steps[0].key(vals), ()))] + chosen[1:]
+    i = 0
+    while i >= 0:
+        _, _, _, _, first, lo, hi, checks = steps[i]
+        for fact in its[i]:
+            args = fact.args
+            if checks and any(args[p] is not args[q] for p, q in checks):
+                continue
+            vals[lo:hi] = first(args)
+            chosen[i] = fact
+            if i == last:
+                yield Atom(pred, head(vals)), tuple(chosen)
+            else:  # on to the next position; this one resumes after it
+                i += 1
+                its[i] = iter(indexes[i].get(steps[i].key(vals), ()))
+                break
         else:
-            yield from _extend(body, probe, i + 1, ext, chosen + (fact,))
+            i -= 1
 
 
 def check_safety(head: Atom, body: Sequence[Atom]) -> Optional[Symbol]:

@@ -1,6 +1,7 @@
 """Reference fixpoint engine: per-atom lineage formulas computed round by round.
 
-Each round grounds every rule over the atoms derived so far, conjoins the
+Each round grounds every rule over the atoms derived so far, by the
+compiled join graph growth uses too (`model.groundings`), conjoins the
 body formulas of each instantiation, aggregates the results per head atom,
 and disjoins them into the atom's formula.  The run reaches its fixpoint in
 the round whose formulas are all logically equivalent to the previous
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .lineage import FALSE, TRUE, Changes, Dnf
-from .model import Atom, Program, Symbol, join, substitute
+from .model import Atom, Program, Symbol, groundings
 
 
 class TcpRoundLimitError(RuntimeError):
@@ -55,52 +56,33 @@ def tcp_initial(prog: Program) -> TcpInstance:
     )
 
 
-def _by_predicate(formulas: Dict[Atom, Dnf]) -> Dict[Symbol, List[Atom]]:
-    out: Dict[Symbol, List[Atom]] = {}
-    for a in formulas:
-        out.setdefault(a.predicate, []).append(a)
-    for atoms in out.values():
-        atoms.sort(key=Atom.sort_key)
-    return out
-
-
 def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstance:
     """One derive/aggregate/update round; returns the next instance and
     leaves `inst` as it was."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown mode {mode!r}")
-    by_pred = _by_predicate(inst.formulas)
+    by_pred: Dict[Symbol, List[Atom]] = {}  # each predicate's atoms, sorted
+    for a in sorted(inst.formulas, key=Atom.sort_key):
+        by_pred.setdefault(a.predicate, []).append(a)
     delta: Dict[Atom, Dnf] = {}
     count = 0
-
-    def derive(body, candidate_lists, rule_head):
-        nonlocal count
-        for subst, matched in join(body, candidate_lists):
-            count += 1
-            formula = TRUE
-            for a in matched:
-                formula = formula & inst.formulas[a]
-            head = substitute(rule_head, subst)
-            delta[head] = delta.get(head, FALSE) | formula
-
     for rule in sorted(prog.rules, key=lambda r: r.id):
         atoms_per_pos = [by_pred.get(a.predicate, []) for a in rule.body]
-        if mode == "naive":
-            derive(rule.body, atoms_per_pos, rule.head)
-        else:
-            # Semi-naive split: position j takes updated atoms, earlier
-            # positions take only non-updated ones, so every instantiation
-            # with at least one updated atom is enumerated exactly once.
-            for j in range(len(rule.body)):
-                lists = []
-                for i, atoms in enumerate(atoms_per_pos):
-                    if i < j:
-                        lists.append([a for a in atoms if a not in inst.updated])
-                    elif i == j:
-                        lists.append([a for a in atoms if a in inst.updated])
-                    else:
-                        lists.append(atoms)
-                derive(rule.body, lists, rule.head)
+        # Semi-naive split in delta mode: position j takes updated atoms,
+        # earlier positions only non-updated ones, so every instantiation
+        # with at least one updated atom is enumerated exactly once.
+        splits = [atoms_per_pos] if mode == "naive" else (
+            [atoms if i > j else [a for a in atoms if (a in inst.updated) == (i == j)]
+             for i, atoms in enumerate(atoms_per_pos)]
+            for j in range(len(rule.body))
+        )
+        for candidate_lists in splits:
+            for head, matched in groundings(rule, candidate_lists):
+                count += 1
+                formula = TRUE
+                for a in matched:
+                    formula = formula & inst.formulas[a]
+                delta[head] = delta.get(head, FALSE) | formula
 
     k = inst.round + 1
     formulas, changes = dict(inst.formulas), dict(inst.changes)

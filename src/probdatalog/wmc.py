@@ -28,7 +28,7 @@ from collections import _count_elements  # the C counter behind Counter.update
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .lineage import Dnf
 
@@ -51,8 +51,8 @@ class TooManyVariablesError(ValueError):
     pass
 
 
-def _check_weights(d: Dnf, weights: Mapping[int, float]) -> None:
-    missing = [v for v in d.variables if v not in weights]
+def _check_weights(variables: Iterable[int], weights: Mapping[int, float]) -> None:
+    missing = [v for v in variables if v not in weights]
     if missing:
         raise UnweightedVariableError(f"no weight for variables {sorted(missing)}")
 
@@ -105,15 +105,16 @@ def probability(
     max_steps: int = DEFAULT_STEP_BUDGET,
 ) -> float:
     """Exact Pr[d] when each variable is independently true with its weight."""
-    _check_weights(d, weights)
+    variables = d.variables
+    _check_weights(variables, weights)
     # A weight of 1 or more is certain, so every product may take it as 1.
-    if d.clauses and len(d.variables) == sum(map(len, d.clauses)):  # disjoint
+    if d.clauses and len(variables) == sum(map(len, d.clauses)):  # disjoint
         ps = [
             math.prod([min(weights[v], 1.0) for v in sorted(c, reverse=True)], start=1.0)
             for c in d.clauses
         ]
         return min(max(ps[0] if len(ps) == 1 else _independent_or(ps), 0.0), 1.0)
-    order = sorted(d.variables)
+    order = sorted(variables)
     bit = {v: 1 << i for i, v in enumerate(order)}
     w = [min(weights[v], 1.0) for v in order]  # by bit position
     bits = _Bits()
@@ -186,8 +187,8 @@ def brute_force_probability(
     """
     import numpy as np
 
-    _check_weights(d, weights)
     variables = sorted(d.variables)
+    _check_weights(variables, weights)
     n = len(variables)
     if n > max_vars:
         raise TooManyVariablesError(f"{n} variables exceed the {max_vars} limit")

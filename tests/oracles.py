@@ -20,7 +20,7 @@ from typing import Iterator, List
 from probdatalog import FALSE, TRUE, Atom, Dnf, Program, TooManyVariablesError
 from probdatalog.derivations import DerivationEntry, Label, Leaf
 from probdatalog.graph import EgNode, ExecutionGraph
-from probdatalog.model import Rule, RuleKind, SymbolKind, join, substitute
+from probdatalog.model import Rule, RuleKind, SymbolKind, groundings
 
 
 def _match(pattern: Atom, fact: Atom, binding: dict):
@@ -208,10 +208,7 @@ def node_groundings(node: EgNode, facts, stores) -> List[tuple]:
     else:
         sources = [stores[p] for p in node.parents]
     candidates = [sorted(s.by_root, key=Atom.sort_key) for s in sources]
-    return [
-        (substitute(rule.head, subst), chosen)
-        for subst, chosen in join(rule.body, candidates)
-    ]
+    return list(groundings(rule, candidates))
 
 
 def has_or(x, memo=None) -> bool:

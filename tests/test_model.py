@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import re
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +21,16 @@ from probdatalog import (
     normalize,
     parse_atom,
     parse_program,
+    run_pr,
     serialize,
     tcp_fixpoint,
 )
+from probdatalog import model
 from probdatalog.model import (
     SymbolKind,
     constant,
-    join,
+    groundings,
     predicate,
-    substitute,
     variable,
 )
 from oracles import truth_table_equal
@@ -55,7 +58,7 @@ class TestSymbols:
 
     def test_separately_built_atoms_are_interchangeable(self):
         built, parsed = atom("p", "a", "b"), parse_atom("p(a,b)")
-        assert built is not parsed
+        assert built is parsed
         assert built == parsed and hash(built) == hash(parsed)
         table = {built: 1}
         table[parsed] = 2
@@ -66,6 +69,28 @@ class TestSymbols:
         as_variable = Atom(predicate("p"), (variable("X"),))
         assert as_constant != as_variable
         assert len({as_constant, as_variable}) == 2
+
+
+class TestAtomInterning:
+    def test_equal_atoms_are_one_object(self):
+        prog = parse_program("0.5::e(a,b).\np(X,Y) :- e(X,Y).\n")
+        (fact,), (rule,) = prog.facts, prog.rules
+        ((head, chosen),) = groundings(rule, [[fact.fact]])
+        assert fact.fact is atom("e", "a", "b") is parse_atom("e(a,b)") is chosen[0]
+        assert head is atom("p", "a", "b") is parse_atom("p(a,b)")
+        assert rule.head is atom("p", "X", "Y") is parse_atom("p(X,Y)")
+        with pytest.raises(FrozenInstanceError):
+            head.args = ()
+
+    def test_atoms_leave_the_table_with_their_last_reference(self):
+        prog = normalize(parse_program(random_program_text(3)))
+        gc.collect()
+        before = len(model._ATOMS)
+        result = run_pr(prog)
+        assert len(model._ATOMS) > before  # the derived atoms
+        del result
+        gc.collect()
+        assert len(model._ATOMS) == before
 
 
 class TestParser:
@@ -409,21 +434,29 @@ def random_facts(rng, pattern, consts, count):
     ]
 
 
+def substitute(a, subst):
+    return Atom(a.predicate, tuple(subst.get(t, t) for t in a.args))
+
+
 def assert_same_join(body, candidates):
-    """Same substitutions and chosen facts, in the same order, as the
-    reference; returns the substitutions."""
+    """Same ground heads and chosen facts, in the same order, as the
+    reference; returns the substitutions, read back from the heads."""
+    variables = list(dict.fromkeys(
+        t for a in body for t in a.args if t.kind is SymbolKind.VARIABLE
+    ))
+    # every body variable, by first occurrence, and a constant
+    rule = Rule(0, Atom(predicate("h"), (*variables, constant("k"))), tuple(body))
     expected = nested_loop_join(body, candidates)
-    actual = list(join(body, candidates))
-    assert actual == expected, (body, candidates)
-    for (subst, chosen), (_, ref_chosen) in zip(actual, expected):
+    actual = list(groundings(rule, candidates))
+    assert [head for head, _ in actual] == [
+        substitute(rule.head, subst) for subst, _ in expected
+    ], (body, candidates)
+    for (_, chosen), (subst, ref_chosen) in zip(actual, expected):
         # the very candidate objects, each the body atom under subst
+        assert len(chosen) == len(ref_chosen)
         assert all(a is b for a, b in zip(chosen, ref_chosen))
         assert chosen == tuple(substitute(a, subst) for a in body)
-    # dict equality ignores order; the binding order must match too
-    assert [list(s.items()) for s, _ in actual] == [
-        list(s.items()) for s, _ in expected
-    ]
-    return [s for s, _ in actual]
+    return [dict(zip(variables, head.args)) for head, _ in actual]
 
 
 class TestJoin:
