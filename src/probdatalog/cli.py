@@ -157,7 +157,7 @@ def _answers(
     if engine in TCP_MODES:
         try:
             inst = tcp_fixpoint(prog, TCP_MODES[engine], opts.max_depth)
-        except TcpRoundLimitError as e:
+        except (TcpRoundLimitError, LineageTooLargeError) as e:
             raise CliError("resource", str(e), EXIT_RESOURCE)
         reason_ms = _ms(t0)
         stats = {

@@ -225,13 +225,11 @@ def collapse(trees: Sequence[DerivationEntry]) -> DerivationEntry:
 def should_collapse(
     trees_by_root: Mapping[Atom, Sequence[DerivationEntry]],
     threshold: int,
-    total: Optional[int] = None,
+    total: int,
 ) -> bool:
-    """Collapse a node's derivations when the average per-root count
-    reaches the threshold.  `total` counts them when the lists hold only
-    those that were built."""
+    """Collapse a node's derivations when the average per-root count,
+    `total` over the roots, reaches the threshold.  `total` counts every
+    candidate, the ones rejected before they were built included."""
     if not trees_by_root:
         raise ValueError("empty derivation map")
-    if total is None:
-        total = sum(len(v) for v in trees_by_root.values())
     return total / len(trees_by_root) >= threshold

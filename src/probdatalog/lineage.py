@@ -23,6 +23,7 @@ before k, FALSE before its first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .derivations import EMPTY, Child, Label
@@ -33,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Clause = FrozenSet[int]
 
+# The one cap on every DNF operation of both engines, read where it is checked.
 DEFAULT_CLAUSE_CAP = 1_000_000
 
 
@@ -67,34 +69,36 @@ def _absorb(clauses: Iterable[Clause]) -> frozenset[Clause]:
     return frozenset(kept)
 
 
-def _disjoin(disjuncts: Iterable[Collection[Clause]], max_clauses: Optional[int]) -> "Dnf":
+def _disjoin(disjuncts: Iterable[Collection[Clause]]) -> "Dnf":
     """Disjunction of clause sets with one absorption.  Gathered clauses are
     absorbed early only past the cap, and only an absorbed set above it raises."""
+    cap = DEFAULT_CLAUSE_CAP
     gathered: List[Clause] = []
     for clauses in disjuncts:
         gathered.extend(clauses)
-        if max_clauses is not None and len(gathered) > max_clauses:
+        if len(gathered) > cap:
             gathered = list(_absorb(gathered))
-            if len(gathered) > max_clauses:
+            if len(gathered) > cap:
                 raise LineageTooLargeError(
-                    f"lineage too large ({len(gathered)} > {max_clauses} disjuncts)"
+                    f"lineage too large ({len(gathered)} > {cap} disjuncts)"
                 )
     return Dnf(_absorb(gathered))
 
 
-def _conjoin(dnfs: Iterable["Dnf"], max_clauses: Optional[int]) -> "Dnf":
+def _conjoin(dnfs: Iterable["Dnf"]) -> "Dnf":
     """Conjunction with one absorption, raising where a fold of `and_` would."""
     factors = [d for d in dnfs if EMPTY not in d.clauses]
     if len(factors) < 2:
         return factors[0] if factors else TRUE
-    if max_clauses != 0 and all(len(d.clauses) == 1 for d in factors):
+    if all(len(d.clauses) == 1 for d in factors):
         return Dnf(frozenset([EMPTY.union(*[c for d in factors for c in d.clauses])]))
+    cap = DEFAULT_CLAUSE_CAP
     out, *rest = [d.clauses for d in factors]
     for f in rest:
-        if max_clauses is not None and len(out) * len(f) > max_clauses:
+        if len(out) * len(f) > cap:
             out = _absorb(out)
-            if (n := len(out) * len(f)) > max_clauses:
-                raise LineageTooLargeError(f"lineage too large ({n} > {max_clauses} disjuncts)")
+            if (n := len(out) * len(f)) > cap:
+                raise LineageTooLargeError(f"lineage too large ({n} > {cap} disjuncts)")
         out = {a | b for a in out for b in f}
     return Dnf(frozenset(out) if isinstance(out, frozenset) or len(out) < 2 else _absorb(out))
 
@@ -131,15 +135,15 @@ class Dnf:
         # not cached: per-round bounds keep thousands of formulas alive
         return EMPTY.union(*self.clauses)
 
-    def or_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
+    def or_(self, other: "Dnf") -> "Dnf":
         if self.is_true or other.is_false:
             return self
         if other.is_true or self.is_false:
             return other
-        return _disjoin((self.clauses, other.clauses), max_clauses)
+        return _disjoin((self.clauses, other.clauses))
 
-    def and_(self, other: "Dnf", max_clauses: Optional[int] = None) -> "Dnf":
-        return _conjoin((self, other), max_clauses)
+    def and_(self, other: "Dnf") -> "Dnf":
+        return _conjoin((self, other))
 
     def __or__(self, other: "Dnf") -> "Dnf":
         return self.or_(other)
@@ -172,11 +176,7 @@ FALSE = Dnf(frozenset())
 # Formula extraction from stored derivations
 # ---------------------------------------------------------------------------
 
-def phi(
-    entry: Child,
-    max_clauses: Optional[int] = DEFAULT_CLAUSE_CAP,
-    memo: Optional[Dict[int, Dnf]] = None,
-) -> Dnf:
+def phi(entry: Child, memo: Optional[Dict[int, Dnf]] = None) -> Dnf:
     """DNF of a stored derivation: leaves conjoin along AND entries and the
     alternatives of OR entries disjoin.
 
@@ -185,21 +185,19 @@ def phi(
     Entries form a shared DAG, so results are memoized per entry; pass
     `memo` to share across calls.
     """
-    return _phi(entry, max_clauses, {} if memo is None else memo)
-
-
-def _phi(node: Child, max_clauses: Optional[int], memo: Dict[int, Dnf]) -> Dnf:
     # Module level: a closure that called itself would be a reference cycle.
-    if node._clause is not None:
-        return Dnf(frozenset((node._clause,)))
-    cached = memo.get(id(node))
+    if entry._clause is not None:
+        return Dnf(frozenset((entry._clause,)))
+    if memo is None:
+        memo = {}
+    cached = memo.get(id(entry))
     if cached is not None:
         return cached
-    if node.label is Label.AND:
-        out = _conjoin((_phi(c, max_clauses, memo) for c in node.children), max_clauses)
+    if entry.label is Label.AND:
+        out = _conjoin(phi(c, memo) for c in entry.children)
     else:
-        out = _disjoin((_phi(c, max_clauses, memo).clauses for c in node.children), max_clauses)
-    memo[id(node)] = out
+        out = _disjoin(phi(c, memo).clauses for c in entry.children)
+    memo[id(entry)] = out
     return out
 
 
@@ -222,14 +220,13 @@ def _entries_by_root(result: "ReasoningResult") -> Dict[Atom, List[Child]]:
     return index
 
 
-def _gather(entries: List[Child], max_clauses: Optional[int], memo: Dict[int, Dnf]) -> Dnf:
-    """One atom's lineage: each plain entry's clause, `phi` only for an
-    entry with an OR below it, absorbed once."""
-    return _disjoin(
-        ((c,) if (c := e._clause) is not None else phi(e, max_clauses, memo).clauses
-         for e in entries),
-        max_clauses,
-    )
+def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf = FALSE) -> Dnf:
+    """One atom's lineage, or `prior` extended by it: each plain entry's
+    clause, `phi` only for an entry with an OR below it, absorbed once."""
+    return _disjoin(chain(
+        (prior.clauses,),
+        ((c,) if (c := e._clause) is not None else phi(e, memo).clauses for e in entries),
+    ))
 
 
 Changes = Dict[Atom, List[Tuple[int, Dnf]]]
@@ -238,10 +235,11 @@ Changes = Dict[Atom, List[Tuple[int, Dnf]]]
 def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None) -> Changes:
     """The `Changes` of every atom, or of `atoms` only, facts at round 0,
     each as in the reference engine's map after its round.  Round k
-    populates the depth-k nodes, so from one read of the stores, atoms
-    stored at depth k are gathered again for round k, and a lineage is kept
-    only where it differs from the atom's last.  Probabilities along a list
-    never decrease, and the last is the exact value.
+    populates the depth-k nodes, so from one read of the stores, an atom
+    stored at depth k extends its last lineage by those entries for round
+    k (absorption is canonical), and a lineage is kept only where it
+    differs from the atom's last.  Probabilities along a list never
+    decrease, and the last is the exact value.
     """
     found: Dict[Atom, Dict[int, List[Child]]] = {
         fact: {0: leaves} for fact, leaves in result.facts.by_root.items()
@@ -260,9 +258,8 @@ def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = 
     changes: Changes = {}  # in order of first round
     for k in sorted(fresh):
         for root in fresh[k]:
-            entries = [e for d, es in found[root].items() if d <= k for e in es]
-            lineage = _gather(entries, DEFAULT_CLAUSE_CAP, memo)
             history = changes.setdefault(root, [])
+            lineage = _gather(found[root][k], memo, history[-1][1] if history else FALSE)
             if not history or history[-1][1] != lineage:
                 history.append((k, lineage))
     return changes
@@ -277,12 +274,7 @@ def check_query(prog: Program, query: Atom) -> None:
         raise QueryArityError(f"query {query}: predicate arity is {arity}")
 
 
-def collect_lineage(
-    result: "ReasoningResult",
-    prog: Program,
-    query: Atom,
-    max_clauses: Optional[int] = DEFAULT_CLAUSE_CAP,
-) -> List[Answer]:
+def collect_lineage(result: "ReasoningResult", prog: Program, query: Atom) -> List[Answer]:
     """Answers for `query` with their DNF lineage.
 
     Ground instances of the query predicate present in the computed model,
@@ -296,7 +288,7 @@ def collect_lineage(
     index = _entries_by_root(result)
     memo: Dict[int, Dnf] = {}
     return [
-        Answer(inst, _gather(index[inst], max_clauses, memo))
+        Answer(inst, _gather(index[inst], memo))
         for inst in sorted(
             (a for a in index if match_atom(query, a, {}) is not None), key=Atom.sort_key
         )

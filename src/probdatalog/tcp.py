@@ -61,8 +61,8 @@ def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstan
     leaves `inst` as it was."""
     if mode not in ("naive", "delta"):
         raise ValueError(f"unknown mode {mode!r}")
-    by_pred: Dict[Symbol, List[Atom]] = {}  # each predicate's atoms, sorted
-    for a in sorted(inst.formulas, key=Atom.sort_key):
+    by_pred: Dict[Symbol, List[Atom]] = {}  # each predicate's atoms
+    for a in inst.formulas:
         by_pred.setdefault(a.predicate, []).append(a)
     delta: Dict[Atom, Dnf] = {}
     count = 0

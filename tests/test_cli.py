@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -21,6 +22,7 @@ from probdatalog import (
     ReasonerOptions,
     cli,
     collect_lineage,
+    lineage,
     normalize,
     parse_atom,
     parse_program,
@@ -451,13 +453,31 @@ class TestErrors:
 
     def test_oversized_lineage_exits_2(self, capsys, monkeypatch, collapse_file):
         def capped(result, prog, query):
-            return collect_lineage(result, prog, query, max_clauses=999)
+            with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 999):
+                return collect_lineage(result, prog, query)
 
         monkeypatch.setattr(cli, "collect_lineage", capped)
         code, out = run_cli(
             capsys, "run", "--program", collapse_file, "--query", "t(a)",
             "--collapse", "off",
         )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "resource"
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--engine", "tcp"), ("oracle", "--engine", "delta-tcp"), ("compare",),
+    ])
+    def test_oversized_reference_formula_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        # t(a)'s formula has 12 clauses.  Only the reference engine runs under
+        # the lowered cap, so `compare` gets past both graph engines first.
+        def capped(*args):
+            with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 11):
+                return tcp_fixpoint(*args)
+
+        monkeypatch.setattr(cli, "tcp_fixpoint", capped)
+        path = tmp_path / "collapse12.pl"
+        path.write_text(collapse_example(12))
+        code, out = run_cli(capsys, *argv, "--program", str(path), "--query", "t(a)")
         assert code == 2
         assert json.loads(out)["error"]["type"] == "resource"
 

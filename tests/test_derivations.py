@@ -278,9 +278,10 @@ def stored_as_rebuilt(result, mode, redundant):
             assert _atom_cone(e) == cone(e)
             assert (e._clause is None) == has_or(e)
         found = node_groundings(node, result.facts, result.stores)
-        by_root = instantiate_node(node, found, result.facts, result.stores).by_root
+        inst = instantiate_node(node, found, result.facts, result.stores)
+        by_root = inst.by_root
         collapsing = mode == "on" or (
-            mode == "auto" and by_root and should_collapse(by_root, threshold)
+            mode == "auto" and by_root and should_collapse(by_root, threshold, inst.allocated)
         )
         stored = []
         for entries in by_root.values():
@@ -513,10 +514,12 @@ class TestShouldCollapse:
     def test_average_at_threshold(self):
         a, b = atom("x"), atom("y")
         mk = lambda n: [DerivationEntry(a, Label.AND, (Leaf(i),), 0) for i in range(n)]
-        assert should_collapse({a: mk(12), b: mk(10)}, 10)  # average 11
-        assert not should_collapse({a: mk(1)}, 10)
-        assert should_collapse({a: mk(1000)}, 10)
+        assert should_collapse({a: mk(12), b: mk(10)}, 10, 22)  # average 11
+        assert not should_collapse({a: mk(1)}, 10, 1)
+        assert should_collapse({a: mk(1000)}, 10, 1000)
+        # the count includes candidates rejected before they were built
+        assert should_collapse({a: mk(1)}, 10, 10)
 
     def test_empty_map_is_an_error(self):
         with pytest.raises(ValueError):
-            should_collapse({}, 10)
+            should_collapse({}, 10, 0)

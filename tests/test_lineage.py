@@ -1,4 +1,5 @@
 import gc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from probdatalog import (
     UnknownPredicateError,
     collapse,
     collect_lineage,
+    lineage,
     normalize,
     parse_atom,
     parse_program,
@@ -82,8 +84,9 @@ class TestDnf:
     def test_clause_cap(self):
         left = Dnf.from_clauses([[i] for i in range(40)])
         right = Dnf.from_clauses([[100 + i] for i in range(40)])
-        with pytest.raises(LineageTooLargeError):
-            left.and_(right, max_clauses=1000)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 1000):
+            with pytest.raises(LineageTooLargeError):
+                left.and_(right)
 
     @given(clauses_strategy)
     @settings(max_examples=200, deadline=None)
@@ -126,7 +129,10 @@ class TestDnf:
         a, b = Dnf.from_clauses(ca), Dnf.from_clauses(cb)
         product = Dnf.from_clauses(x | y for x in a.clauses for y in b.clauses)
         assert a & b == product
-        assert a.and_(b, max_clauses=len(a.clauses) * len(b.clauses)) == product
+        # the cap is a module constant: the hypothesis test cannot take the
+        # function-scoped monkeypatch fixture
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", len(a.clauses) * len(b.clauses)):
+            assert a.and_(b) == product
 
 
 class TestPhi:
@@ -144,9 +150,11 @@ class TestPhi:
         assert phi(top) == fold
         assert fold.sorted_clauses() == [(0, 2, 4), (0, 3, 4), (1, 2, 4), (1, 3, 4)]
         # the fold's largest step is 2 x 2 once (0|1) & (0|1) is absorbed
-        assert phi(top, max_clauses=4) == fold
-        with pytest.raises(LineageTooLargeError):
-            phi(top, max_clauses=3)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 4):
+            assert phi(top) == fold
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 3):
+            with pytest.raises(LineageTooLargeError):
+                phi(top)
 
     def test_leaf_conjunction(self):
         e = DerivationEntry(atom("p", "a", "b"), Label.AND, (Leaf(2), Leaf(3)), 0)
@@ -258,8 +266,9 @@ class TestPhi:
             for i in range(3)
         ]
         top = DerivationEntry(root, Label.AND, tuple(alts), 0)
-        with pytest.raises(LineageTooLargeError):
-            phi(top, max_clauses=1000)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 1000):
+            with pytest.raises(LineageTooLargeError):
+                phi(top)
 
 
 class TestCollectLineage:
@@ -467,13 +476,17 @@ class TestOnePassAggregation:
         text = "0.5::a.\n" + "".join(f"0.5::b(c{i}).\n" for i in range(5))
         prog = normalize(parse_program(text + "t :- a.\nt :- a, b(X).\n"))
         # six clauses are gathered; `a` absorbs the five `a & b(i)`
-        (ans,) = collect_lineage(run_pr(prog), prog, parse_atom("t"), max_clauses=1)
+        result = run_pr(prog)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", 1):
+            (ans,) = collect_lineage(result, prog, parse_atom("t"))
         assert ans.lineage.to_json(prog.var_names) == [["a"]]
 
         n = 12
         prog = normalize(parse_program(collapse_example(n)))
         result = run_pr(prog)
-        (ans,) = collect_lineage(result, prog, parse_atom("t(a)"), max_clauses=n)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", n):
+            (ans,) = collect_lineage(result, prog, parse_atom("t(a)"))
         assert len(ans.lineage.clauses) == n
-        with pytest.raises(LineageTooLargeError):
-            collect_lineage(result, prog, parse_atom("t(a)"), max_clauses=n - 1)
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", n - 1):
+            with pytest.raises(LineageTooLargeError):
+                collect_lineage(result, prog, parse_atom("t(a)"))

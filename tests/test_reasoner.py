@@ -20,7 +20,7 @@ from probdatalog import (
     run_pr,
 )
 from oracles import has_or
-from probdatalog import graph
+from probdatalog import graph, lineage
 from probdatalog.lineage import Dnf
 from probdatalog.model import RuleKind
 
@@ -274,6 +274,26 @@ class TestSnapshots:
         assert len(bounds) == 302 and len(bounds[-1]) == 301
         assert len(reads) == len(result.stores) + 1
         assert set(reads.values()) == {1}
+
+    def test_bounds_gather_each_entry_once(self, monkeypatch):
+        # A work count: round k extends the answer's lineage after round
+        # k - 1 by its depth-k entries, so no entry is gathered twice.
+        prog = normalize(parse_program(chain_program(9, 0)))
+        result = run_pr(prog)
+        (query,) = prog.queries
+        entries = [e for s in result.stores.values() for e in s.by_root.get(query, ())]
+        depths = {result.graph.node(e.home).depth for e in entries}
+        assert len(depths) > 1
+        gathered = Counter()
+        gather = lineage._gather
+
+        def counted(found, *args):
+            gathered.update(map(id, found))
+            return gather(found, *args)
+
+        monkeypatch.setattr(lineage, "_gather", counted)
+        round_bounds(result, {query})
+        assert gathered == Counter(map(id, entries))
 
     def test_snapshot_probabilities_are_monotone(self):
         for seed in range(6):
