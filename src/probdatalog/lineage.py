@@ -6,13 +6,14 @@ absorption-normalized (no clause contains another), which for monotone
 formulas is a canonical form: two normalized DNFs denote the same Boolean
 function exactly when they are equal.
 
-Hence an atom's lineage is built by gathering the clauses of all its stored
-entries, found through a root -> entries index made in one scan of the
-stores, and absorbing them once, not re-absorbing after every `or_`.  The
-database is the depth-0 store, so a fact's lineage is its own variable by
-the same path, as in the reference engine's initial map.  An entry with no
-OR below it is one clause, set on it when it was built; `phi` unfolds the
-rest.
+Hence an atom's lineage is built by gathering the clauses of its stored
+entries and absorbing them once, not re-absorbing after every `or_`.  One
+routine reads the stores in (round, stores) groups, each atom extending its
+last lineage by its entries in a group: answers read every store as one
+group, per-round bounds one group per depth.  The database is the depth-0
+store, so a fact's lineage is its own variable by the same path, as in the
+reference engine's initial map.  An entry with no OR below it is one
+clause, set on it when it was built; `phi` unfolds the rest.
 
 Per-round bounds take the form both engines share, `Changes`: each atom's
 list of (round, lineage) changes, rounds ascending, no two consecutive
@@ -23,16 +24,16 @@ before k, FALSE before its first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import chain, groupby
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Tuple, Union
 
-from .derivations import EMPTY, Child, Label
+from .derivations import EMPTY, Child, FactIndex, Label, NodeStore
 from .model import Atom, Program, match_atom
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reasoner import ReasoningResult
 
-Clause = FrozenSet[int]
+Clause = frozenset[int]
 
 # The one cap on every DNF operation of both engines, read where it is checked.
 DEFAULT_CLAUSE_CAP = 1_000_000
@@ -100,7 +101,7 @@ def _conjoin(dnfs: Iterable["Dnf"]) -> "Dnf":
             if (n := len(out) * len(f)) > cap:
                 raise LineageTooLargeError(f"lineage too large ({n} > {cap} disjuncts)")
         out = {a | b for a in out for b in f}
-    return Dnf(frozenset(out) if isinstance(out, frozenset) or len(out) < 2 else _absorb(out))
+    return Dnf(_absorb(out))
 
 
 @dataclass(frozen=True)
@@ -208,21 +209,9 @@ class Answer:
     probability: Optional[float] = None
 
 
-def _entries_by_root(result: "ReasoningResult") -> Dict[Atom, List[Child]]:
-    """Stored entries of every atom held by the database, the depth-0
-    store, or by a node."""
-    index: Dict[Atom, List[Child]] = {
-        fact: list(leaves) for fact, leaves in result.facts.by_root.items()
-    }
-    for store in result.stores.values():
-        for root, entries in store.by_root.items():
-            index.setdefault(root, []).extend(entries)
-    return index
-
-
-def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf = FALSE) -> Dnf:
-    """One atom's lineage, or `prior` extended by it: each plain entry's
-    clause, `phi` only for an entry with an OR below it, absorbed once."""
+def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf) -> Dnf:
+    """`prior` extended by one atom's entries: each plain entry's clause,
+    `phi` only for an entry with an OR below it, absorbed once."""
     return _disjoin(chain(
         (prior.clauses,),
         ((c,) if (c := e._clause) is not None else phi(e, memo).clauses for e in entries),
@@ -232,37 +221,41 @@ def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf = FALSE) -> D
 Changes = Dict[Atom, List[Tuple[int, Dnf]]]
 
 
-def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None) -> Changes:
-    """The `Changes` of every atom, or of `atoms` only, facts at round 0,
-    each as in the reference engine's map after its round.  Round k
-    populates the depth-k nodes, so from one read of the stores, an atom
-    stored at depth k extends its last lineage by those entries for round
-    k (absorption is canonical), and a lineage is kept only where it
-    differs from the atom's last.  Probabilities along a list never
-    decrease, and the last is the exact value.
-    """
-    found: Dict[Atom, Dict[int, List[Child]]] = {
-        fact: {0: leaves} for fact, leaves in result.facts.by_root.items()
-        if atoms is None or fact in atoms
-    }
-    for node_id, store in result.stores.items():
-        depth = result.graph.node(node_id).depth
-        for root, entries in store.by_root.items():
-            if atoms is None or root in atoms:
-                found.setdefault(root, {}).setdefault(depth, []).extend(entries)
-    fresh: Dict[int, List[Atom]] = {}  # depth -> the atoms stored there
-    for root, by_depth in found.items():
-        for d in by_depth:
-            fresh.setdefault(d, []).append(root)
+def _changes(
+    groups: Iterable[Tuple[int, Iterable[Union[FactIndex, NodeStore]]]],
+    atoms: Optional[Collection[Atom]],
+) -> Changes:
+    """The `Changes` of every atom, or of `atoms` only, from (round, stores)
+    groups in round order.  Each atom stored in a group extends its last
+    lineage by its entries there (absorption is canonical), and the result
+    is kept only where it differs from that last lineage."""
     memo: Dict[int, Dnf] = {}
     changes: Changes = {}  # in order of first round
-    for k in sorted(fresh):
-        for root in fresh[k]:
+    for k, stores in groups:
+        found: Dict[Atom, List[Child]] = {}
+        for store in stores:
+            for root, entries in store.by_root.items():
+                if atoms is None or root in atoms:
+                    found.setdefault(root, []).extend(entries)
+        for root, entries in found.items():
             history = changes.setdefault(root, [])
-            lineage = _gather(found[root][k], memo, history[-1][1] if history else FALSE)
+            lineage = _gather(entries, memo, history[-1][1] if history else FALSE)
             if not history or history[-1][1] != lineage:
                 history.append((k, lineage))
     return changes
+
+
+def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None) -> Changes:
+    """The `Changes` of every atom, or of `atoms` only, facts at round 0,
+    each as in the reference engine's map after its round.  Round k fills
+    the depth-k nodes, and node ids ascend with depth, so the stores read
+    in order, grouped by depth, give every round.  Probabilities along a
+    list never decrease, and the last is the exact value."""
+    by_depth = groupby(result.stores.items(), lambda item: result.graph.node(item[0]).depth)
+    return _changes(
+        chain([(0, [result.facts])], ((k, [s for _, s in group]) for k, group in by_depth)),
+        atoms,
+    )
 
 
 def check_query(prog: Program, query: Atom) -> None:
@@ -275,21 +268,15 @@ def check_query(prog: Program, query: Atom) -> None:
 
 
 def collect_lineage(result: "ReasoningResult", prog: Program, query: Atom) -> List[Answer]:
-    """Answers for `query` with their DNF lineage.
-
-    Ground instances of the query predicate present in the computed model,
-    database facts included, are enumerated.
-    """
+    """Answers for `query` with their DNF lineage: every store, the
+    database included, read as one group, restricted to the ground
+    instances of the query in the computed model."""
     if result.truncated:
         raise IncompleteReasoningError(
             "reasoning was truncated by a resource limit; lineage would be partial"
         )
     check_query(prog, query)
-    index = _entries_by_root(result)
-    memo: Dict[int, Dnf] = {}
-    return [
-        Answer(inst, _gather(index[inst], memo))
-        for inst in sorted(
-            (a for a in index if match_atom(query, a, {}) is not None), key=Atom.sort_key
-        )
-    ]
+    stores = [result.facts, *result.stores.values()]
+    roots = set().union(*(s.by_root for s in stores))
+    changes = _changes([(0, stores)], {a for a in roots if match_atom(query, a, {}) is not None})
+    return [Answer(a, changes[a][0][1]) for a in sorted(changes, key=Atom.sort_key)]

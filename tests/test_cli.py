@@ -15,7 +15,7 @@ import pytest
 
 from conftest import RUNNING_EXAMPLE, collapse_example, reason, snapshots
 from corpus import random_program_text
-from oracles import path_probability
+from oracles import exact_probability, explanation_map, path_probability
 from probdatalog import (
     FALSE,
     Dnf,
@@ -58,6 +58,65 @@ def collapse_file(tmp_path):
     path = tmp_path / "collapse.pl"
     path.write_text(collapse_example(1000))
     return str(path)
+
+
+# Cycles through a, b and c: `p(X,X)` asks for the nodes on one.
+REPEATED_VARIABLE = (
+    "0.5::e(a,b).\n0.6::e(b,a).\n0.7::e(b,c).\n0.8::e(c,c).\n"
+    "p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,Z), e(Z,Y).\n"
+)
+
+
+class TestRepeatedQueryVariable:
+    """A query variable that occurs twice binds both positions to one
+    constant, on every engine."""
+
+    @pytest.fixture
+    def expected(self):
+        # brute force: every subset of the facts and its least model
+        prog = normalize(parse_program(REPEATED_VARIABLE))
+        probs = {
+            f"p({x},{y})": float(exact_probability(dnf.clauses, prog.weights))
+            for (pred, (x, y)), dnf in explanation_map(prog).items()
+            if pred == "p" and x == y
+        }
+        assert sorted(probs) == ["p(a,a)", "p(b,b)", "p(c,c)"]
+        return probs
+
+    @pytest.fixture
+    def program_file(self, tmp_path):
+        path = tmp_path / "cycles.pl"
+        path.write_text(REPEATED_VARIABLE)
+        return str(path)
+
+    def test_collect_lineage(self, expected):
+        prog = normalize(parse_program(REPEATED_VARIABLE))
+        answers = collect_lineage(reason(prog), prog, parse_atom("p(X,X)"))
+        assert [str(a.fact) for a in answers] == sorted(expected)
+        for a in answers:
+            p = probability(a.lineage, prog.weights)
+            assert p == pytest.approx(expected[str(a.fact)], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command",
+        [("run",), ("oracle", "--engine", "tcp"), ("oracle", "--engine", "delta-tcp")],
+        ids=["run", "tcp", "delta-tcp"],
+    )
+    def test_run_and_oracle(self, capsys, expected, program_file, command):
+        code, report = run_json(capsys, *command, "--program", program_file, "--query", "p(X,X)")
+        assert code == 0
+        assert [a["fact"] for a in report["answers"]] == sorted(expected)
+        for a in report["answers"]:
+            assert a["probability"] == pytest.approx(expected[a["fact"]], abs=1e-12)
+
+    def test_compare(self, capsys, expected, program_file):
+        code, report = run_json(capsys, "compare", "--program", program_file, "--query", "p(X,X)")
+        assert code == 0
+        assert [row["fact"] for row in report["answers"]] == sorted(expected)
+        for row in report["answers"]:
+            assert [row[e] for e in ("pr", "pcor", "tcp")] == pytest.approx(
+                [expected[row["fact"]]] * 3, abs=1e-12
+            )
 
 
 class TestRun:

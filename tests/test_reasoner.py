@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from conftest import collapse_example, path_program, reason, snapshots
-from corpus import random_program_text
+from corpus import random_program_text, random_tiny_program_text
 from probdatalog import (
     CollapseMode,
     IncompleteReasoningError,
@@ -69,6 +69,17 @@ class TestRunPr:
         prog = parse_program("0.5::e(a,b).\np(X,Y) :- e(X,Y).")
         with pytest.raises(ValueError):
             run_pr(prog)
+
+    def test_facts_and_rules_for_one_predicate_need_normalizing(self):
+        prog = parse_program("0.5::p(a).\n0.5::q(b).\np(X) :- q(X).")
+        assert not prog.is_normalized()
+        with pytest.raises(ValueError):
+            run_pr(prog)
+        prog = normalize(prog)
+        assert lineage_json(run_pr(prog), prog, "p(X)") == {
+            "p(a)": [["p__f(a)"]],
+            "p(b)": [["q(b)"]],
+        }
 
 
 class TestRunPcor:
@@ -247,6 +258,25 @@ class TestSnapshots:
                 {a: d for a, d in full.items() if a in wanted}
                 for full in snapshots(round_bounds(result), rounds)
             ]
+
+    @pytest.mark.parametrize(
+        "text",
+        [random_program_text(seed) for seed in range(40)]
+        + [random_tiny_program_text(seed) for seed in range(40)],
+        ids=[f"corpus{seed}" for seed in range(40)] + [f"tiny{seed}" for seed in range(40)],
+    )
+    def test_stores_ascend_in_depth(self, text):
+        # `round_bounds` groups consecutive stores by depth, so a run, cut
+        # short or not, must list them in nondecreasing depth
+        prog = normalize(parse_program(text))
+        for mode in CollapseMode:
+            full = reason(prog, mode)
+            allocated = full.stats.total("entries_allocated")
+            cut = reasoner._run(prog, ReasonerOptions(collapse=mode, max_entries=allocated // 2))
+            assert cut.stop_reason == ("max_entries" if allocated else "fixpoint")
+            for result in (full, cut):
+                depths = [result.graph.node(i).depth for i in result.stores]
+                assert depths == sorted(depths)
 
     def test_bounds_read_each_store_once(self):
         # A work count, not a time: a snapshot per round that scanned the

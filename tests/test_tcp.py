@@ -92,6 +92,10 @@ class TestFixpoint:
         with pytest.raises(TcpRoundLimitError):
             tcp_fixpoint(running_prog, max_rounds=1)
 
+    def test_round_limit_below_one_rejected(self, running_prog):
+        with pytest.raises(ValueError):
+            tcp_fixpoint(running_prog, max_rounds=0)
+
     def test_unknown_mode_rejected(self, running_prog):
         with pytest.raises(ValueError):
             tcp_step(tcp_initial(running_prog), running_prog, mode="eager")
