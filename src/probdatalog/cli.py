@@ -3,8 +3,10 @@
 Subcommands: `run` (graph-based reasoning), `oracle` (reference fixpoint
 engine), `gen` (benchmark program generators), `compare` (cross-engine
 probability check).  `run`, `oracle` and `compare` share one answer
-pipeline, `_answers`: reason with one engine, collect the answers matching
-the query, compute their probabilities (and per-round bounds).  Each
+pipeline, `_answers`: reason with one engine, read once the (round,
+lineage) changes of the atoms that match a query (`collect_lineage`, or
+`round_bounds` for bounds; the reference engine records them), take each
+atom's last change as its answer, and solve the answers and bounds.  Each
 subcommand accepts only the flags it reads.  Reports are emitted as JSON or
 text; errors, argument errors included, are always machine-readable JSON on
 stdout, and a query on a predicate the program does not mention is an input
@@ -27,16 +29,17 @@ from typing import Dict, List, Optional
 
 from .lineage import (
     FALSE,
-    Answer,
     Dnf,
     LineageTooLargeError,
+    Matcher,
     QueryArityError,
     UnknownPredicateError,
+    answers_of,
     check_query,
     collect_lineage,
     round_bounds,
 )
-from .model import Atom, Program, match_atom, normalize
+from .model import Atom, Program, normalize
 from .parser import ParseError, parse_atom, parse_program
 from .reasoner import CollapseMode, ReasonerOptions, run_pcor, run_pr
 from .tcp import TcpRoundLimitError, tcp_fixpoint
@@ -128,29 +131,13 @@ def _options(args, collapse: str) -> ReasonerOptions:
         raise CliError("usage", str(e), EXIT_PARSE)
 
 
-def _collect_answers(result, prog: Program, queries: List[Atom]) -> List[Answer]:
-    answers: Dict[Atom, Answer] = {}
-    try:
-        for q in queries:
-            for ans in collect_lineage(result, prog, q):
-                answers.setdefault(ans.fact, ans)
-    except LineageTooLargeError as e:
-        raise CliError("resource", str(e), EXIT_RESOURCE)
-    except RecursionError as e:
-        raise CliError("resource", f"derivations too deep for lineage: {e}", EXIT_RESOURCE)
-    return sorted(answers.values(), key=lambda a: a.fact.sort_key())
-
-
 def _answers(
     engine: str, prog: Program, queries: List[Atom], args, collapse: str = "off"
-) -> tuple:
-    """Answer `queries` with one engine: `pr` or `pcor` (the graph
-    reasoner, pcor collapsing as `collapse` says) or the reference engine
-    `tcp` or `delta-tcp`.
-
-    Returns the answers with their probabilities, each answer's per-round
-    bounds when `args.bounds` asks for them, and the run's stats.
-    """
+) -> dict:
+    """The report of `queries` answered by one engine: `pr` or `pcor` (the
+    graph reasoner, pcor collapsing as `collapse` says) or the reference
+    engine `tcp` or `delta-tcp`.  Each answer has its probability, and its
+    per-round bounds when `args.bounds` asks for them."""
     want_bounds = getattr(args, "bounds", False)
     opts = _options(args, collapse)
     t0 = time.perf_counter()
@@ -160,24 +147,12 @@ def _answers(
         except (TcpRoundLimitError, LineageTooLargeError) as e:
             raise CliError("resource", str(e), EXIT_RESOURCE)
         reason_ms = _ms(t0)
-        stats = {
-            "rounds": inst.round,
-            "nodes": 0,
-            "entries": 0,
-            "or_entries": 0,
-            "instantiations": inst.instantiations,
-        }
-        t0 = time.perf_counter()
-        answers = [
-            Answer(a, inst.formulas[a])
-            for a in sorted(inst.formulas, key=Atom.sort_key)
-            if any(match_atom(q, a, {}) is not None for q in queries)
-        ]
-        changes, rounds = inst.changes, max(inst.round - 1, 1)  # the last changed nothing
+        stats = {"rounds": inst.round, "nodes": 0, "entries": 0, "or_entries": 0,
+                 "instantiations": inst.instantiations}
+        rounds = max(inst.round - 1, 1)  # the last changed nothing
     else:
-        runner = run_pr if engine == "pr" else run_pcor
         try:
-            result = runner(prog, opts)
+            result = (run_pr if engine == "pr" else run_pcor)(prog, opts)
         except RecursionError as e:
             raise CliError("resource", f"derivations too deep for reasoning: {e}", EXIT_RESOURCE)
         reason_ms = _ms(t0)
@@ -192,19 +167,29 @@ def _answers(
             print(result.graph.dump(), file=sys.stderr)
         if result.truncated:
             stats["time_ms"] = {"reason": reason_ms, "lineage": 0.0, "prob": 0.0}
-            raise CliError(
-                "resource",
-                f"reasoning truncated by resource limit ({result.stop_reason})",
-                EXIT_RESOURCE,
-                extra={"stats": stats},
-            )
-        t0 = time.perf_counter()
-        answers = _collect_answers(result, prog, queries)
+            message = f"reasoning truncated by resource limit ({result.stop_reason})"
+            raise CliError("resource", message, EXIT_RESOURCE, extra={"stats": stats})
         # At depth 0 round 1 stored nothing, but the facts hold on into it,
-        # so every answer gets a bound, as from the reference engine.  Only
-        # the answers' entries are read.
+        # so every answer gets a bound, as from the reference engine.
         rounds = max(result.rounds, 1)
-        changes = round_bounds(result, {a.fact for a in answers}) if want_bounds else {}
+
+    # One read of the changes of the atoms that match a query; an answer is
+    # its atom's last change.
+    t0 = time.perf_counter()
+    try:
+        if engine in TCP_MODES:
+            matches = Matcher(queries)
+            changes = {a: c for a, c in inst.changes.items() if matches[a]}
+        elif want_bounds:
+            changes = round_bounds(result, queries)
+        else:  # every store read as one group: each answer its atom's one change
+            changes, answers = {}, collect_lineage(result, prog, *queries)
+    except LineageTooLargeError as e:
+        raise CliError("resource", str(e), EXIT_RESOURCE)
+    except RecursionError as e:
+        raise CliError("resource", f"derivations too deep for lineage: {e}", EXIT_RESOURCE)
+    if engine in TCP_MODES or want_bounds:
+        answers = answers_of(changes)
     lineage_ms = _ms(t0)
 
     t0 = time.perf_counter()
@@ -227,36 +212,24 @@ def _answers(
         return out
 
     bounds = {a.fact: per_round(a.fact) for a in answers if want_bounds}
-    answers = [Answer(a.fact, a.lineage, prob(a.lineage)) for a in answers]
+    rows = [{"fact": str(a.fact), "probability": prob(a.lineage)} for a in answers]
     stats["time_ms"] = {"reason": reason_ms, "lineage": lineage_ms, "prob": _ms(t0)}
-    return answers, bounds, stats
-
-
-def _report(engine: str, prog: Program, answers, bounds, stats) -> dict:
-    rows = []
-    for ans in answers:
-        row = {
-            "fact": str(ans.fact),
-            "probability": ans.probability,
-            "lineage": ans.lineage.to_json(prog.var_names),
-        }
-        if ans.fact in bounds:
-            row["bounds"] = bounds[ans.fact]
-        rows.append(row)
+    for row, a in zip(rows, answers):
+        row["lineage"] = a.lineage.to_json(prog.var_names)
+        if want_bounds:
+            row["bounds"] = bounds[a.fact]
     return {"engine": engine, "answers": rows, "stats": stats, "truncated": False}
 
 
 def cmd_run(args) -> tuple:
     prog, queries = _load(args)
     engine = "pr" if args.collapse == "off" else "pcor"
-    answers, bounds, stats = _answers(engine, prog, queries, args, args.collapse)
-    return _report(engine, prog, answers, bounds, stats), EXIT_OK
+    return _answers(engine, prog, queries, args, args.collapse), EXIT_OK
 
 
 def cmd_oracle(args) -> tuple:
     prog, queries = _load(args)
-    answers, bounds, stats = _answers(args.engine, prog, queries, args)
-    return _report(args.engine, prog, answers, bounds, stats), EXIT_OK
+    return _answers(args.engine, prog, queries, args), EXIT_OK
 
 
 def cmd_gen(args) -> tuple:
@@ -283,8 +256,8 @@ def cmd_compare(args) -> tuple:
     probs: Dict[str, Dict[str, float]] = {}
     for engine, collapse in (("pr", "off"), ("pcor", "on"), ("tcp", "off")):
         t0 = time.perf_counter()
-        answers, _, _ = _answers(engine, prog, queries, args, collapse)
-        probs[engine] = {str(a.fact): a.probability for a in answers}
+        rows = _answers(engine, prog, queries, args, collapse)["answers"]
+        probs[engine] = {row["fact"]: row["probability"] for row in rows}
         times[engine] = _ms(t0)
 
     rows = []

@@ -8,17 +8,19 @@ function exactly when they are equal.
 
 Hence an atom's lineage is built by gathering the clauses of its stored
 entries and absorbing them once, not re-absorbing after every `or_`.  One
-routine reads the stores in (round, stores) groups, each atom extending its
-last lineage by its entries in a group: answers read every store as one
-group, per-round bounds one group per depth.  The database is the depth-0
-store, so a fact's lineage is its own variable by the same path, as in the
-reference engine's initial map.  An entry with no OR below it is one
-clause, set on it when it was built; `phi` unfolds the rest.
+routine reads the stores once, in (round, stores) groups, each atom
+extending its last lineage by its entries in a group: answers read every
+store as one group, per-round bounds one group per depth.  The database is
+the depth-0 store, so a fact's lineage is its own variable by the same
+path, as in the reference engine's initial map.  An entry with no OR below
+it is one clause, set on it when it was built; `phi` unfolds the rest.
+A `Matcher` decides once per distinct atom whether it is read, so several
+queries take one read, and an atom that matches two is one answer.
 
-Per-round bounds take the form both engines share, `Changes`: each atom's
-list of (round, lineage) changes, rounds ascending, no two consecutive
-lineages equal.  An atom's lineage after round k is its last change at or
-before k, FALSE before its first.
+Both engines' lineage takes one form, `Changes`: each atom's list of
+(round, lineage) changes, rounds ascending, no two consecutive lineages
+equal.  An atom's lineage after round k is its last change at or before
+k, FALSE before its first; at the fixpoint, its last change is its answer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from itertools import chain, groupby
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from .derivations import EMPTY, Child, FactIndex, Label, NodeStore
-from .model import Atom, Program, match_atom
+from .model import Atom, Program, Symbol, match_atom
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reasoner import ReasoningResult
@@ -206,7 +208,6 @@ def phi(entry: Child, memo: Optional[Dict[int, Dnf]] = None) -> Dnf:
 class Answer:
     fact: Atom
     lineage: Dnf
-    probability: Optional[float] = None
 
 
 def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf) -> Dnf:
@@ -221,21 +222,43 @@ def _gather(entries: List[Child], memo: Dict[int, Dnf], prior: Dnf) -> Dnf:
 Changes = Dict[Atom, List[Tuple[int, Dnf]]]
 
 
+class Matcher(dict):
+    """Atom -> whether it is a ground instance of one of `queries`, decided
+    on its first lookup by the queries on its predicate, and kept."""
+
+    def __init__(self, queries: Iterable[Atom]):
+        self.by_predicate: Dict[Symbol, List[Atom]] = {}
+        for q in queries:
+            self.by_predicate.setdefault(q.predicate, []).append(q)
+
+    def __missing__(self, atom: Atom) -> bool:
+        hit = False
+        for q in self.by_predicate.get(atom.predicate, ()):
+            hit = hit or match_atom(q, atom, {}) is not None
+        self[atom] = hit
+        return hit
+
+
+def answers_of(changes: Changes) -> List[Answer]:
+    """Each atom's last lineage, atoms in sort order: at a fixpoint, its answer."""
+    return [Answer(a, changes[a][-1][1]) for a in sorted(changes, key=Atom.sort_key)]
+
+
 def _changes(
     groups: Iterable[Tuple[int, Iterable[Union[FactIndex, NodeStore]]]],
-    atoms: Optional[Collection[Atom]],
+    wanted: Optional[Matcher],
 ) -> Changes:
-    """The `Changes` of every atom, or of `atoms` only, from (round, stores)
-    groups in round order.  Each atom stored in a group extends its last
-    lineage by its entries there (absorption is canonical), and the result
-    is kept only where it differs from that last lineage."""
+    """The `Changes` of every atom, or of the `wanted` ones only, from
+    (round, stores) groups in round order.  Each atom stored in a group
+    extends its last lineage by its entries there (absorption is canonical),
+    and the result is kept only where it differs from that last lineage."""
     memo: Dict[int, Dnf] = {}
     changes: Changes = {}  # in order of first round
     for k, stores in groups:
         found: Dict[Atom, List[Child]] = {}
         for store in stores:
             for root, entries in store.by_root.items():
-                if atoms is None or root in atoms:
+                if wanted is None or wanted[root]:
                     found.setdefault(root, []).extend(entries)
         for root, entries in found.items():
             history = changes.setdefault(root, [])
@@ -245,16 +268,16 @@ def _changes(
     return changes
 
 
-def round_bounds(result: "ReasoningResult", atoms: Optional[Collection[Atom]] = None) -> Changes:
-    """The `Changes` of every atom, or of `atoms` only, facts at round 0,
-    each as in the reference engine's map after its round.  Round k fills
-    the depth-k nodes, and node ids ascend with depth, so the stores read
-    in order, grouped by depth, give every round.  Probabilities along a
-    list never decrease, and the last is the exact value."""
+def round_bounds(result: "ReasoningResult", queries: Optional[Iterable[Atom]] = None) -> Changes:
+    """The `Changes` of every atom, or of the ground instances of `queries`
+    only, facts at round 0, each as in the reference engine's map after its
+    round.  Round k fills the depth-k nodes, and node ids ascend with depth,
+    so the stores read in order, grouped by depth, give every round.
+    Probabilities along a list never decrease, and the last is exact."""
     by_depth = groupby(result.stores.items(), lambda item: result.graph.node(item[0]).depth)
     return _changes(
         chain([(0, [result.facts])], ((k, [s for _, s in group]) for k, group in by_depth)),
-        atoms,
+        None if queries is None else Matcher(queries),
     )
 
 
@@ -267,16 +290,15 @@ def check_query(prog: Program, query: Atom) -> None:
         raise QueryArityError(f"query {query}: predicate arity is {arity}")
 
 
-def collect_lineage(result: "ReasoningResult", prog: Program, query: Atom) -> List[Answer]:
-    """Answers for `query` with their DNF lineage: every store, the
-    database included, read as one group, restricted to the ground
-    instances of the query in the computed model."""
+def collect_lineage(result: "ReasoningResult", prog: Program, *queries: Atom) -> List[Answer]:
+    """Answers for `queries`, each ground instance once, with their DNF
+    lineage: every store, the database included, read once as one group,
+    restricted to the atoms that match a query."""
     if result.truncated:
         raise IncompleteReasoningError(
             "reasoning was truncated by a resource limit; lineage would be partial"
         )
-    check_query(prog, query)
+    for query in queries:
+        check_query(prog, query)
     stores = [result.facts, *result.stores.values()]
-    roots = set().union(*(s.by_root for s in stores))
-    changes = _changes([(0, stores)], {a for a in roots if match_atom(query, a, {}) is not None})
-    return [Answer(a, changes[a][0][1]) for a in sorted(changes, key=Atom.sort_key)]
+    return answers_of(_changes([(0, stores)], Matcher(queries)))

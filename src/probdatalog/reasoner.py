@@ -90,12 +90,15 @@ class ReasoningResult:
     facts: FactIndex  # the depth-0 store
     stores: Dict[int, NodeStore]
     rounds: int  # final graph depth
-    truncated: bool
     stats: ReasonerStats
     # "fixpoint" on natural termination, else the limit that stopped the
     # run: "max_depth" (all requested rounds completed) or "max_entries"
     # (the last round is partial)
     stop_reason: str = "fixpoint"
+
+    @property
+    def truncated(self) -> bool:
+        return self.stop_reason != "fixpoint"
 
     def live_store_sizes(self) -> Dict[int, int]:
         return {
@@ -171,7 +174,6 @@ def _run(prog: Program, opts: ReasonerOptions) -> ReasoningResult:
         facts=facts,
         stores=stores,
         rounds=g.depth(),
-        truncated=stop_reason != "fixpoint",
         stats=stats,
         stop_reason=stop_reason,
     )

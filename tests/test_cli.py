@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -20,6 +21,7 @@ from probdatalog import (
     FALSE,
     Dnf,
     ReasonerOptions,
+    chain_program,
     cli,
     collect_lineage,
     lineage,
@@ -117,6 +119,105 @@ class TestRepeatedQueryVariable:
             assert [row[e] for e in ("pr", "pcor", "tcp")] == pytest.approx(
                 [expected[row["fact"]]] * 3, abs=1e-12
             )
+
+
+# Two query directives that share the answer p(a,c).
+OVERLAPPING_QUERIES = (
+    "0.5::e(a,b).\n0.6::e(b,c).\n0.7::e(a,c).\n0.4::e(c,a).\n0.3::e(b,a).\n"
+    "p(X,Y) :- e(X,Y).\np(X,Y) :- p(X,Z), e(Z,Y).\n"
+    "query(p(a,X)).\nquery(p(X,c)).\n"
+)
+
+
+class TestOverlappingQueries:
+    """An atom that matches two queries is one answer, on every engine, and
+    the stores are read once for both queries."""
+
+    @pytest.fixture
+    def expected(self):
+        # brute force: every subset of the facts and its least model
+        prog = normalize(parse_program(OVERLAPPING_QUERIES))
+        probs = {
+            f"p({x},{y})": float(exact_probability(dnf.clauses, prog.weights))
+            for (pred, (x, y)), dnf in explanation_map(prog).items()
+            if pred == "p" and (x == "a" or y == "c")
+        }
+        assert sorted(probs) == ["p(a,a)", "p(a,b)", "p(a,c)", "p(b,c)", "p(c,c)"]
+        return probs
+
+    @pytest.fixture
+    def program_file(self, tmp_path):
+        path = tmp_path / "overlap.pl"
+        path.write_text(OVERLAPPING_QUERIES)
+        return str(path)
+
+    def test_collect_lineage(self, expected):
+        prog = normalize(parse_program(OVERLAPPING_QUERIES))
+        answers = collect_lineage(reason(prog), prog, *prog.queries)
+        assert [str(a.fact) for a in answers] == sorted(expected)
+
+    @pytest.mark.parametrize("bounds", [(), ("--bounds",)], ids=["plain", "bounds"])
+    def test_every_engine_gives_each_answer_once(self, capsys, expected, program_file, bounds):
+        reports = [
+            run_json(capsys, *command, "--program", program_file, *bounds)
+            for command in [("run", "--collapse", c) for c in ("off", "on", "auto")]
+            + [("oracle", "--engine", e) for e in ("tcp", "delta-tcp")]
+        ]
+        assert all(code == 0 for code, _ in reports)
+        for _, report in reports:
+            assert [a["fact"] for a in report["answers"]] == sorted(expected)
+            for a in report["answers"]:
+                assert a["probability"] == pytest.approx(expected[a["fact"]], abs=1e-12)
+                if bounds:
+                    assert a["bounds"][-1] == a["probability"]
+        if bounds:  # one reference map per round, so both engines' bounds agree
+            first = reports[0][1]["answers"]
+            for _, report in reports[1:]:
+                for a, b in zip(report["answers"], first):
+                    assert a["bounds"] == pytest.approx(b["bounds"], abs=1e-12)
+
+    def test_compare(self, capsys, expected, program_file):
+        code, report = run_json(capsys, "compare", "--program", program_file)
+        assert code == 0 and not report["mismatch"]
+        assert [row["fact"] for row in report["answers"]] == sorted(expected)
+
+    @pytest.mark.parametrize("text, bounds", [
+        (chain_program(9, 0), ("--bounds",)),
+        (OVERLAPPING_QUERIES, ()),
+        (OVERLAPPING_QUERIES, ("--bounds",)),
+    ], ids=["chain9-bounds", "overlap", "overlap-bounds"])
+    def test_each_answer_entry_is_gathered_once(self, capsys, monkeypatch, tmp_path, text, bounds):
+        # A work count: one read gives both the answers and their bounds,
+        # and an entry whose root matches two queries is read once.
+        path = tmp_path / "program.pl"
+        path.write_text(text)
+        results, gathered = [], Counter()
+        gather = lineage._gather
+
+        def counted(found, *args):
+            gathered.update(map(id, found))
+            return gather(found, *args)
+
+        def kept(prog, opts):
+            results.append(run_pr(prog, opts))
+            return results[-1]
+
+        monkeypatch.setattr(lineage, "_gather", counted)
+        monkeypatch.setattr(cli, "run_pr", kept)
+        code, report = run_json(
+            capsys, "run", "--collapse", "off", "--program", str(path), *bounds
+        )
+        assert code == 0 and report["answers"]
+        (result,) = results
+        facts = {a["fact"] for a in report["answers"]}
+        entries = [
+            e
+            for store in [result.facts, *result.stores.values()]
+            for root, found in store.by_root.items()
+            if str(root) in facts
+            for e in found
+        ]
+        assert gathered == Counter(map(id, entries))
 
 
 class TestRun:
@@ -523,6 +624,23 @@ class TestErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "resource"
 
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    def test_oversized_round_bound_exits_2(self, capsys, tmp_path, command):
+        # t's lineage has n clauses after round 2 but one, x, at the end, so
+        # under a cap of n - 1 only a per-round read raises.
+        n = 5
+        path = tmp_path / "absorbed.pl"
+        path.write_text(
+            "0.5::x.\n" + "".join(f"0.4::y(c{i}).\n" for i in range(n))
+            + "u(Y) :- x, y(Y).\nt :- u(Y).\n"
+            + "s1 :- x.\ns2 :- s1.\ns3 :- s2.\nt :- s3.\nquery(t).\n"
+        )
+        with mock.patch.object(lineage, "DEFAULT_CLAUSE_CAP", n - 1):
+            code, out = run_cli(capsys, command, "--program", str(path), "--bounds")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "resource"
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("oracle", "--engine", "tcp"), ("oracle", "--engine", "delta-tcp"), ("compare",),
     ])
@@ -914,6 +1032,7 @@ class TestCompare:
             inst = real(prog, mode, max_rounds)
             victim = next(a for a in inst.formulas if a.predicate.text == "p")
             inst.formulas[victim] = cli.Dnf.from_clauses([])
+            inst.changes[victim] = [(inst.round, inst.formulas[victim])]  # what answers read
             return inst
 
         monkeypatch.setattr(cli, "tcp_fixpoint", corrupt)

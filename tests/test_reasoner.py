@@ -299,6 +299,9 @@ class TestSnapshots:
         for store in [result.facts, *result.stores.values()]:
             store.by_root = read(store.by_root)
         answers = {a.fact for a in collect_lineage(result, prog, parse_atom("r(X)"))}
+        # the answers, too, come from one read of each store
+        assert len(reads) == len(result.stores) + 1
+        assert set(reads.values()) == {1}
         reads.clear()
         bounds = snapshots(round_bounds(result, answers), result.rounds)
         assert len(bounds) == 302 and len(bounds[-1]) == 301
