@@ -56,13 +56,7 @@ from .reasoner import (
     run_pcor,
     run_pr,
 )
-from .tcp import (
-    TcpInstance,
-    TcpRoundLimitError,
-    tcp_fixpoint,
-    tcp_initial,
-    tcp_step,
-)
+from .tcp import TcpInstance, TcpRoundLimitError, tcp_fixpoint
 from .wmc import (
     TooManyVariablesError,
     UnweightedVariableError,

@@ -2,8 +2,8 @@
 
 Subcommands: `run` (graph-based reasoning), `oracle` (reference fixpoint
 engine), `gen` (benchmark program generators), `compare` (cross-engine
-probability check).  `run`, `oracle` and `compare` share one answer
-pipeline, `_answers`: reason with one engine, read once the (round,
+probability and lineage check).  `run`, `oracle` and `compare` share one
+answer pipeline, `_answers`: reason with one engine, read once the (round,
 lineage) changes of the atoms that match a query (`collect_lineage`, or
 `round_bounds` for bounds; the reference engine records them), take each
 atom's last change as its answer, and solve the answers and bounds.  Each
@@ -253,27 +253,33 @@ def cmd_gen(args) -> tuple:
 def cmd_compare(args) -> tuple:
     prog, queries = _load(args)
     times: Dict[str, float] = {}
-    probs: Dict[str, Dict[str, float]] = {}
+    found: Dict[str, Dict[str, dict]] = {}  # each engine's answer row per fact
     for engine, collapse in (("pr", "off"), ("pcor", "on"), ("tcp", "off")):
         t0 = time.perf_counter()
         rows = _answers(engine, prog, queries, args, collapse)["answers"]
-        probs[engine] = {row["fact"]: row["probability"] for row in rows}
+        found[engine] = {row["fact"]: row for row in rows}
         times[engine] = _ms(t0)
 
-    rows = []
-    for fact in sorted(set().union(*probs.values())):
-        values = {engine: p.get(fact) for engine, p in probs.items()}
+    rows, lineage_mismatch = [], []
+    for fact in sorted(set().union(*found.values())):
+        values = {e: a[fact]["probability"] if fact in a else None for e, a in found.items()}
         present = [v for v in values.values() if v is not None]
         rows.append({"fact": fact, **values, "delta": max(present) - min(present)})
+        # Absorption-normalized DNFs are canonical, so equal lineage is an
+        # exact check, with no solver and no tolerance.
+        lineages = [a[fact]["lineage"] for a in found.values() if fact in a]
+        if any(lineage != lineages[0] for lineage in lineages):
+            lineage_mismatch.append(fact)
     max_delta = max((row["delta"] for row in rows), default=0.0)
     # An engine that misses an answer has fewer facts than the union.
-    mismatch = max_delta > COMPARE_TOLERANCE or any(
-        len(p) < len(rows) for p in probs.values()
+    mismatch = max_delta > COMPARE_TOLERANCE or bool(lineage_mismatch) or any(
+        len(a) < len(rows) for a in found.values()
     )
     payload = {
         "engine": "compare",
         "answers": rows,
         "max_delta": max_delta,
+        "lineage_mismatch": lineage_mismatch,
         "mismatch": mismatch,
         "time_ms": times,
     }
@@ -293,6 +299,8 @@ def _render_text(payload: dict, args) -> str:
             ]
             lines.append("\t".join(cells))
         lines.append(f"max_delta: {payload['max_delta']:.3e}")
+        if payload["lineage_mismatch"]:
+            lines.append(f"lineage_mismatch: {', '.join(payload['lineage_mismatch'])}")
         lines.append(f"mismatch: {payload['mismatch']}")
         return "\n".join(lines)
     for ans in payload["answers"]:
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     subcommand(
-        "compare", cmd_compare, "run pr, pcor, and tcp; check probability deltas",
+        "compare", cmd_compare, "run pr, pcor, and tcp; check probability deltas and lineage",
         "--program --query --max-depth --max-entries --solver --output",
     )
     return parser
@@ -375,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        payload, code = args.func(args)
+        try:
+            payload, code = args.func(args)
+        except MemoryError:  # what the failed run held is free once unwound
+            raise CliError("resource", "out of memory", EXIT_RESOURCE) from None
     except CliError as e:
         text = json.dumps({"error": {"type": e.kind, "message": e.message}, **e.extra}) + "\n"
         code = e.code

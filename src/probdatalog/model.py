@@ -379,12 +379,15 @@ def normalize(prog: Program) -> Program:
     has its facts moved to a fresh database predicate `p__f`, bridged by a
     base rule `p(...) :- p__f(...)`.  A database predicate `p` occurring in
     a body next to derived predicates is replaced there by a fresh derived
-    alias `p__d`, defined by the base rule `p__d(...) :- p(...)`.
+    alias `p__d`, defined by the base rule `p__d(...) :- p(...)`.  A body
+    atom that repeats an earlier one of its rule is dropped, as a
+    conjunction allows; kept, it would join each derivation of the atom
+    with itself.
 
     The rewrite is total, deterministic, and idempotent.
     """
     taken = {p.text for p in prog.predicates} | {q.predicate.text for q in prog.queries}
-    rules = list(prog.rules)
+    rules = [replace(r, body=tuple(dict.fromkeys(r.body))) for r in prog.rules]
     facts = list(prog.facts)
     rule_ids = itertools.count(max((r.id for r in rules), default=-1) + 1)
 

@@ -6,8 +6,14 @@ body formulas of each instantiation, aggregates the results per head atom,
 and disjoins them into the atom's formula.  The run reaches its fixpoint in
 the round whose formulas are all logically equivalent to the previous
 round's.  `delta` mode restricts each round to instantiations that involve
-at least one atom updated in the previous round (semi-naive evaluation) and
-yields an equivalent fixpoint with fewer rule instantiations.
+at least one atom updated in the previous round (semi-naive evaluation,
+Bancilhon & Ramakrishnan 1986) and yields an equivalent fixpoint with fewer
+rule instantiations.
+
+One state, extended in place, serves every round: each atom's list of
+(round, formula) changes, the last being its formula, and each predicate's
+atoms.  Round 0's update records the facts.  Each later round grounds every
+rule before it records a change, so it reads only the round before's formulas.
 
 Every run terminates.  A formula only grows: a round that changes it makes
 it a strictly larger monotone Boolean function of the program's finitely
@@ -33,88 +39,73 @@ class TcpRoundLimitError(RuntimeError):
 
 @dataclass
 class TcpInstance:
-    """Map from ground atom to its lineage formula after `round` rounds.
+    """The fixpoint: `round` names the round that detected it,
+    `instantiations` counts the rule instantiations of all rounds, and
+    `changes` lists each atom's (round, formula) changes up to it, the
+    facts' at round 0, in the bounds representation that
+    `lineage.round_bounds` returns too.  An atom's formula after round k is
+    its last change at or before k."""
 
-    `updated` holds the atoms whose formula changed (as a Boolean function)
-    in the most recent round; the fixpoint is reached when it is empty.
-    `changes` lists each atom's (round, formula) changes, the facts' at
-    round 0, in the bounds representation that `lineage.round_bounds`
-    returns too; an atom's last change is its entry in `formulas`.
-    """
-
-    formulas: Dict[Atom, Dnf]
     round: int
     instantiations: int
-    updated: frozenset[Atom]
     changes: Changes
 
-
-def tcp_initial(prog: Program) -> TcpInstance:
-    formulas = {f.fact: Dnf.single(f.var) for f in prog.facts}
-    return TcpInstance(
-        formulas, 0, 0, frozenset(formulas), {a: [(0, d)] for a, d in formulas.items()}
-    )
-
-
-def tcp_step(inst: TcpInstance, prog: Program, mode: str = "naive") -> TcpInstance:
-    """One derive/aggregate/update round; returns the next instance and
-    leaves `inst` as it was."""
-    if mode not in ("naive", "delta"):
-        raise ValueError(f"unknown mode {mode!r}")
-    by_pred: Dict[Symbol, List[Atom]] = {}  # each predicate's atoms
-    for a in inst.formulas:
-        by_pred.setdefault(a.predicate, []).append(a)
-    delta: Dict[Atom, Dnf] = {}
-    count = 0
-    for rule in sorted(prog.rules, key=lambda r: r.id):
-        atoms_per_pos = [by_pred.get(a.predicate, []) for a in rule.body]
-        # Semi-naive split in delta mode: position j takes updated atoms,
-        # earlier positions only non-updated ones, so every instantiation
-        # with at least one updated atom is enumerated exactly once.
-        splits = [atoms_per_pos] if mode == "naive" else (
-            [atoms if i > j else [a for a in atoms if (a in inst.updated) == (i == j)]
-             for i, atoms in enumerate(atoms_per_pos)]
-            for j in range(len(rule.body))
-        )
-        for candidate_lists in splits:
-            for head, matched in groundings(rule, candidate_lists):
-                count += 1
-                formula = TRUE
-                for a in matched:
-                    formula = formula & inst.formulas[a]
-                delta[head] = delta.get(head, FALSE) | formula
-
-    k = inst.round + 1
-    formulas, changes = dict(inst.formulas), dict(inst.changes)
-    changed = set()
-    for head, mu in delta.items():
-        old = formulas.get(head, FALSE)
-        new = old | mu
-        # Normalized monotone DNFs are canonical, so logical equivalence
-        # reduces to equality here.
-        if new != old:
-            changed.add(head)
-            formulas[head] = new
-            changes[head] = [*changes.get(head, ()), (k, new)]
-    return TcpInstance(formulas, k, inst.instantiations + count, frozenset(changed), changes)
+    @property
+    def formulas(self) -> Dict[Atom, Dnf]:
+        """Each atom's formula at the fixpoint: its last change."""
+        return {a: history[-1][1] for a, history in self.changes.items()}
 
 
 def tcp_fixpoint(
     prog: Program, mode: str = "naive", max_rounds: Optional[int] = None
 ) -> TcpInstance:
-    """Iterate rounds until no formula changes.  With `max_rounds`, raise
-    `TcpRoundLimitError` if that many rounds do not reach the fixpoint;
-    without it, the run ends all the same (see the module docstring).
-
-    `round` names the round that detected the fixpoint, and `changes` holds
-    every change up to it, from which per-round probability bounds are read.
-    """
+    """Iterate derive/aggregate/update rounds until no formula changes.
+    With `max_rounds`, raise `TcpRoundLimitError` if that many rounds do not
+    reach the fixpoint; without it, the run ends all the same (see the
+    module docstring)."""
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    inst = tcp_initial(prog)
-    while max_rounds is None or inst.round < max_rounds:
-        inst = tcp_step(inst, prog, mode)
-        if not inst.updated:
-            return inst
-    raise TcpRoundLimitError(f"no fixpoint within {max_rounds} rounds")
-
+    if mode not in ("naive", "delta"):
+        raise ValueError(f"unknown mode {mode!r}")
+    changes: Changes = {}
+    by_pred: Dict[Symbol, List[Atom]] = {}  # each predicate's atoms
+    rules = sorted(prog.rules, key=lambda r: r.id)
+    delta: Dict[Atom, Dnf] = {f.fact: Dnf.single(f.var) for f in prog.facts}  # round 0: the facts
+    k = count = 0
+    while True:
+        updated = set()
+        for head, mu in delta.items():
+            history = changes.get(head)
+            old = history[-1][1] if history else FALSE
+            new = old | mu
+            # Normalized monotone DNFs are canonical, so logical equivalence
+            # reduces to equality here.
+            if new != old:
+                updated.add(head)
+                if history is None:
+                    history = changes[head] = []
+                    by_pred.setdefault(head.predicate, []).append(head)
+                history.append((k, new))
+        if k and not updated:  # a round past round 0 changed nothing
+            return TcpInstance(k, count, changes)
+        if k == max_rounds:
+            raise TcpRoundLimitError(f"no fixpoint within {max_rounds} rounds")
+        k += 1
+        delta = {}
+        for rule in rules:
+            atoms_per_pos = [by_pred.get(a.predicate, []) for a in rule.body]
+            # Semi-naive split in delta mode: position j takes updated atoms,
+            # earlier positions only non-updated ones, so every instantiation
+            # with at least one updated atom is enumerated exactly once.
+            splits = [atoms_per_pos] if mode == "naive" else (
+                [atoms if i > j else [a for a in atoms if (a in updated) == (i == j)]
+                 for i, atoms in enumerate(atoms_per_pos)]
+                for j in range(len(rule.body))
+            )
+            for candidate_lists in splits:
+                for head, matched in groundings(rule, candidate_lists):
+                    count += 1
+                    formula = TRUE
+                    for a in matched:
+                        formula = formula & changes[a][-1][1]
+                    delta[head] = delta.get(head, FALSE) | formula

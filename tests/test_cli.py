@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -119,6 +120,37 @@ class TestRepeatedQueryVariable:
             assert [row[e] for e in ("pr", "pcor", "tcp")] == pytest.approx(
                 [expected[row["fact"]]] * 3, abs=1e-12
             )
+
+
+# A random program on which the graph engine joined every derivation of
+# r(X,Y,W) with itself, until normalize dropped the repeated body atom.
+REPEATED_BODY_ATOM = (
+    "0.826::e(a,a).\n0.623::e(a,b).\n0.591::e(b,a).\n0.843::e(b,b).\n"
+    "0.891::e(c,b).\n0.385::e(c,c).\n0.809::f(a).\n0.196::f(b).\n0.528::f(c).\n"
+    "0.777::g(a,a,c).\n0.783::g(a,b,b).\n0.384::g(b,a,c).\n0.619::g(b,b,a).\n"
+    "0.252::g(b,b,b).\n0.228::g(b,c,b).\n0.411::g(c,a,b).\n0.258::g(c,c,c).\n"
+    "p(W,W) :- f(W).\nq(X) :- f(X).\nr(Z,X,X) :- g(b,Z,X).\nz :- e(Z,Y), f(Y).\n"
+    "0.62::r(b,X,a) :- r(X,a,a), e(Y,X).\nr(W,X,Y) :- r(X,Y,W), r(X,Y,W), z.\n"
+    "z :- e(Y,W), f(W), e(Y,Y).\n0.83::r(X,Y,Y) :- p(X,Y).\n"
+    "query(p(X,Y)).\nquery(q(X)).\nquery(r(X,Y,Z)).\nquery(z).\n"
+)
+
+
+class TestRepeatedBodyAtom:
+    # Over 3x the entries reasoning allocates (1,790 with collapse auto,
+    # 26,468 off), so a regression fails within a second instead of hanging.
+    @pytest.mark.parametrize("collapse, cap", [("auto", "20000"), ("off", "100000")])
+    def test_run_equals_the_reference_engine(self, capsys, tmp_path, collapse, cap):
+        path = tmp_path / "repeated.pl"
+        path.write_text(REPEATED_BODY_ATOM)
+        code, run = run_json(capsys, "run", "--program", str(path), "--collapse", collapse,
+                             "--max-entries", cap, "--bounds")
+        assert code == 0
+        code, oracle = run_json(capsys, "oracle", "--program", str(path),
+                                "--engine", "delta-tcp", "--bounds")
+        assert code == 0
+        assert len(run["answers"]) == 22
+        assert run["answers"] == oracle["answers"]
 
 
 # Two query directives that share the answer p(a,c).
@@ -507,6 +539,23 @@ class TestErrors:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_out_of_memory_exits_2_without_a_traceback(self, tmp_path):
+        # chain 20 with default flags needs far more than this address space
+        program = tmp_path / "chain20.pl"
+        program.write_text(chain_program(20, 0))
+        limit = 128 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from probdatalog.cli import main; sys.exit(main())",
+             "run", "--program", str(program)],
+            capture_output=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {"error": {"type": "resource", "message": "out of memory"}}
+        assert b"Traceback" not in proc.stderr
 
     def test_parse_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.pl"
@@ -1003,6 +1052,7 @@ class TestCompare:
         )
         assert code == 0
         assert not report["mismatch"]
+        assert report["lineage_mismatch"] == []
         assert report["max_delta"] <= 1e-9
 
     def test_text_output_lists_each_engine(self, capsys, running_file):
@@ -1030,9 +1080,8 @@ class TestCompare:
 
         def corrupt(prog, mode="naive", max_rounds=None):
             inst = real(prog, mode, max_rounds)
-            victim = next(a for a in inst.formulas if a.predicate.text == "p")
-            inst.formulas[victim] = cli.Dnf.from_clauses([])
-            inst.changes[victim] = [(inst.round, inst.formulas[victim])]  # what answers read
+            victim = next(a for a in inst.changes if a.predicate.text == "p")
+            inst.changes[victim] = [(inst.round, cli.Dnf.from_clauses([]))]
             return inst
 
         monkeypatch.setattr(cli, "tcp_fixpoint", corrupt)
@@ -1041,3 +1090,26 @@ class TestCompare:
         )
         assert code == 4
         assert report["mismatch"]
+
+    def test_lineage_difference_alone_exits_4(self, capsys, running_file, monkeypatch):
+        real = cli._answers
+        victims = []
+
+        def relabel(engine, *args, **kwargs):
+            report = real(engine, *args, **kwargs)
+            if engine == "tcp":  # one lineage changes, its probability does not
+                row = report["answers"][0]
+                row["lineage"] = [*row["lineage"], ["e(a,b)", "e(b,c)", "e(c,b)"]]
+                victims.append(row["fact"])
+            return report
+
+        monkeypatch.setattr(cli, "_answers", relabel)
+        code, report = run_json(
+            capsys, "compare", "--program", running_file, "--query", "p(X,Y)"
+        )
+        assert code == 4
+        assert report["mismatch"] and report["max_delta"] == 0.0
+        assert report["lineage_mismatch"] == victims[:1]
+        code, text = run_cli(capsys, "compare", "--program", running_file, "--query", "p(X,Y)")
+        assert code == 4
+        assert f"lineage_mismatch: {victims[0]}" in text.splitlines()

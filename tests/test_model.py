@@ -343,6 +343,21 @@ class TestNormalize:
         for row in rows:
             assert [row[e] for e in ("pr", "pcor", "tcp")] == pytest.approx([0.3] * 3, abs=1e-12)
 
+    def test_repeated_body_atom_is_dropped(self):
+        text = (
+            "0.5::e(a,b).\n0.6::e(b,a).\np(X,Y) :- e(X,Y).\n"
+            "q(X) :- p(X,Y), p(X,Y), e(Y,X), p(Y,X), e(Y,X).\n"
+        )
+        prog = parse_program(text)
+        norm = normalize(prog)
+        rewritten = next(r for r in norm.rules if r.head.predicate.text == "q")
+        assert [str(a) for a in rewritten.body] == ["p(X,Y)", "e__d(Y,X)", "p(Y,X)"]
+        assert normalize(norm) == norm
+        raw = tcp_fixpoint(prog).formulas
+        cooked = tcp_fixpoint(norm).formulas
+        for a, f in raw.items():
+            assert truth_table_equal(f, cooked[a])
+
     def test_no_rules_means_no_change(self):
         prog = parse_program("0.5::e(a,b).")
         assert normalize(prog) == prog

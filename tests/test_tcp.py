@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import snapshots
 from corpus import random_program_text
 from probdatalog import (
     Dnf,
@@ -8,8 +9,6 @@ from probdatalog import (
     parse_atom,
     parse_program,
     tcp_fixpoint,
-    tcp_initial,
-    tcp_step,
 )
 
 
@@ -25,38 +24,36 @@ def dnf(prog, *clauses):
 
 class TestRunningExampleRounds:
     """The first three rounds of the reference engine on the reachability
-    program, matching the worked per-round formula table."""
+    program, matching the worked per-round formula table.  The formulas
+    after round k are each atom's last change at or before k."""
 
     def test_round_one(self, running_prog):
-        inst = tcp_step(tcp_initial(running_prog), running_prog)
-        assert inst.round == 1
+        inst = tcp_fixpoint(running_prog)
+        after = snapshots(inst.changes, inst.round)[1]
         for x, y in (("a", "b"), ("b", "c"), ("a", "c"), ("c", "b")):
-            assert inst.formulas[parse_atom(f"p({x},{y})")] == dnf(
+            assert after[parse_atom(f"p({x},{y})")] == dnf(
                 running_prog, [f"e({x},{y})"]
             )
 
     def test_round_two(self, running_prog):
-        inst = tcp_step(tcp_initial(running_prog), running_prog)
-        inst = tcp_step(inst, running_prog)
+        inst = tcp_fixpoint(running_prog)
+        after = snapshots(inst.changes, inst.round)[2]
         p = running_prog
-        assert inst.formulas[parse_atom("p(a,b)")] == dnf(
+        assert after[parse_atom("p(a,b)")] == dnf(
             p, ["e(a,c)", "e(c,b)"], ["e(a,b)"]
         )
-        assert inst.formulas[parse_atom("p(a,c)")] == dnf(
+        assert after[parse_atom("p(a,c)")] == dnf(
             p, ["e(a,b)", "e(b,c)"], ["e(a,c)"]
         )
-        assert inst.formulas[parse_atom("p(b,b)")] == dnf(p, ["e(b,c)", "e(c,b)"])
-        assert inst.formulas[parse_atom("p(b,c)")] == dnf(p, ["e(b,c)"])
+        assert after[parse_atom("p(b,b)")] == dnf(p, ["e(b,c)", "e(c,b)"])
+        assert after[parse_atom("p(b,c)")] == dnf(p, ["e(b,c)"])
 
     def test_round_three_reaches_the_fixpoint(self, running_prog):
-        inst = tcp_initial(running_prog)
-        for _ in range(2):
-            inst = tcp_step(inst, running_prog)
-        second = dict(inst.formulas)
-        inst = tcp_step(inst, running_prog)
+        inst = tcp_fixpoint(running_prog)
         assert inst.round == 3
-        assert not inst.updated
-        assert inst.formulas == second
+        _, _, second, third = snapshots(inst.changes, 3)
+        assert third == second
+        assert all(k < 3 for history in inst.changes.values() for k, _ in history)
 
     def test_changes_list_each_round_that_changed_a_formula(self, running_prog):
         inst = tcp_fixpoint(running_prog)
@@ -66,13 +63,6 @@ class TestRunningExampleRounds:
             "p(b,b)": [2], "p(c,c)": [2],
         }
         assert all(history[-1][1] == inst.formulas[a] for a, history in inst.changes.items())
-
-    @pytest.mark.parametrize("mode", ["naive", "delta"])
-    def test_step_leaves_its_input_as_it_was(self, running_prog, mode):
-        inst = tcp_step(tcp_initial(running_prog), running_prog, mode)
-        before = (dict(inst.formulas), {a: list(h) for a, h in inst.changes.items()})
-        tcp_step(inst, running_prog, mode)
-        assert (inst.formulas, inst.changes) == before
 
     def test_fixpoint_round_number(self, running_prog):
         inst = tcp_fixpoint(running_prog)
@@ -86,11 +76,20 @@ class TestFixpoint:
     def test_facts_only_program_keeps_initial_formulas(self):
         prog = normalize(parse_program("0.5::e(a,b).\n0.2::e(b,c)."))
         inst = tcp_fixpoint(prog)
-        assert inst.formulas == tcp_initial(prog).formulas
+        assert inst.round == 1
+        assert inst.changes == {f.fact: [(0, Dnf.single(f.var))] for f in prog.facts}
 
     def test_round_limit_raises(self, running_prog):
         with pytest.raises(TcpRoundLimitError):
             tcp_fixpoint(running_prog, max_rounds=1)
+
+    @pytest.mark.parametrize("mode", ["naive", "delta"])
+    def test_round_limit_boundary(self, running_prog, mode):
+        # The running example detects its fixpoint in round 3: a limit of 3
+        # rounds lets that round run, a limit of 2 stops before it.
+        assert tcp_fixpoint(running_prog, mode, 3).round == 3
+        with pytest.raises(TcpRoundLimitError):
+            tcp_fixpoint(running_prog, mode, 2)
 
     def test_round_limit_below_one_rejected(self, running_prog):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestFixpoint:
 
     def test_unknown_mode_rejected(self, running_prog):
         with pytest.raises(ValueError):
-            tcp_step(tcp_initial(running_prog), running_prog, mode="eager")
+            tcp_fixpoint(running_prog, mode="eager")
 
     def test_naive_and_delta_agree_on_corpus(self):
         for seed in range(25):
